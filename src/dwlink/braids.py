@@ -10,7 +10,6 @@ over its neighbour; strands are oriented upward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import BadBraid, StrandMismatch
 
@@ -149,7 +148,3 @@ def components(beta: BraidWord) -> ComponentData:
         linking=tuple(tuple(row) for row in linking),
     )
 
-
-def cycle_split_counts(beta: BraidWord, n: int) -> int:
-    """Number of closure components of beta^n, from the cycle structure alone."""
-    return sum(gcd(len(c), n) for c in components(beta).cycles)

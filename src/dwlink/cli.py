@@ -209,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--exact", action="store_true", help="include exact (x, h) entries"
     )
-    sp.add_argument(
-        "--classes", action="store_true", help="class-level entries (the default)"
-    )
     sp.set_defaults(func=cmd_dw)
 
     sp = sub.add_parser("verify", help="check the periodicity congruence")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .arith import is_prime
 from .braids import BraidWord, braid_power, components
-from .dw import cen_class_rep, x_tuples
+from .dw import class_buckets, x_tuples
 from .errors import (
     ComponentMismatch,
     GroupOrderDivisible,
@@ -100,16 +100,6 @@ def check_preconditions(
     return CongruenceInstance(beta, p, k, G)
 
 
-def _class_buckets(recs, G, x, n):
-    """Bucket hom records by the tuple of centralizer-class representatives
-    of their longitude images."""
-    buckets = {}
-    for r in recs:
-        key = tuple(cen_class_rep(G, x[t], r.longitude[t]) for t in range(n))
-        buckets[key] = buckets.get(key, 0) + 1
-    return buckets
-
-
 def verify(
     instance: CongruenceInstance,
     x_scope: str = "representatives",
@@ -128,29 +118,20 @@ def verify(
     report = CongruenceReport(instance, n)
     t0 = time.perf_counter()
     for x in x_tuples(G, n, x_scope):
-        rhs = _class_buckets(
-            enumerate_homs(beta, G, x_constraint=x, threads=threads), G, x, n
+        rhs = class_buckets(
+            G, x, enumerate_homs(beta, G, x_constraint=x, threads=threads)
         )
-        lhs = _class_buckets(
-            enumerate_homs(big, G, x_constraint=x, threads=threads), G, x, n
+        lhs = class_buckets(
+            G, x, enumerate_homs(big, G, x_constraint=x, threads=threads)
         )
+        reps = [G.cen_class_reps(xt) for xt in x]
         # one representative h_t per class of Cen(x_t)
-        rep_lists = []
-        for t in range(n):
-            cen = G.centralizer(x[t])
-            reps = sorted(
-                {cen_class_rep(G, x[t], h) for h in cen.members}
-            )
-            rep_lists.append(reps)
+        rep_lists = [sorted(set(rep.values())) for rep in reps]
         for h in itertools.product(*rep_lists):
             report.cases_checked += 1
-            rhs_count = rhs.get(
-                tuple(cen_class_rep(G, x[t], h[t]) for t in range(n)), 0
-            )
-            hp = tuple(G.power(h[t], q) for t in range(n))
-            lhs_count = lhs.get(
-                tuple(cen_class_rep(G, x[t], hp[t]) for t in range(n)), 0
-            )
+            rhs_count = rhs[h]
+            hp = (G.power(ht, q) for ht in h)
+            lhs_count = lhs[tuple(rep[e] for rep, e in zip(reps, hp))]
             if (lhs_count - rhs_count) % p != 0:
                 report.violations.append(
                     Violation(x, h, lhs_count, rhs_count)

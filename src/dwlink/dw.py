@@ -10,10 +10,11 @@ stored.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .braids import BraidWord, components
-from .errors import HNotInCentralizer, LengthMismatch
+from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
 from .holonomy import enumerate_homs
 
@@ -28,7 +29,19 @@ def _check_lengths(n, x, h):
 
 def cen_class_rep(G: FiniteGroup, x: int, h: int) -> int:
     """Canonical representative (smallest member) of the class of h in Cen(x)."""
-    return G.class_in_subgroup(G.centralizer(x), h).representative
+    try:
+        return G.cen_class_reps(x)[h]
+    except KeyError:
+        raise NotInSubgroup(f"element {h} is not in the subgroup") from None
+
+
+def class_buckets(G: FiniteGroup, x, recs) -> Counter:
+    """Count hom records with meridian images x by the tuple of Cen(x_t)-class
+    representatives of their longitude images."""
+    reps = [G.cen_class_reps(xt) for xt in x]
+    return Counter(
+        tuple(rep[h] for rep, h in zip(reps, r.longitude)) for r in recs
+    )
 
 
 def dw_exact(beta: BraidWord, G: FiniteGroup, x, h) -> int:
@@ -47,20 +60,16 @@ def dw_class(beta: BraidWord, G: FiniteGroup, x, h) -> int:
     inside Cen(x_t) for every t}."""
     n = components(beta).count
     _check_lengths(n, x, h)
-    class_members = []
+    target = []
     for xt, ht in zip(x, h):
-        cen = G.centralizer(xt)
-        if ht not in set(cen.members):
+        rep = G.cen_class_reps(xt).get(ht)
+        if rep is None:
             raise HNotInCentralizer(
                 f"element {G.names[ht]} is not in the centralizer of {G.names[xt]}"
             )
-        class_members.append(set(G.class_in_subgroup(cen, ht).members))
+        target.append(rep)
     recs = enumerate_homs(beta, G, x_constraint=tuple(x))
-    return sum(
-        1
-        for r in recs
-        if all(r.longitude[t] in class_members[t] for t in range(n))
-    )
+    return class_buckets(G, x, recs)[tuple(target)]
 
 
 @dataclass
@@ -115,7 +124,6 @@ def dw_table(
         for r in recs:
             key = (x, r.longitude)
             table.exact[key] = table.exact.get(key, 0) + 1
-            reps = tuple(cen_class_rep(G, x[t], r.longitude[t]) for t in range(n))
-            ckey = (x, reps)
-            table.by_class[ckey] = table.by_class.get(ckey, 0) + 1
+        for reps, count in class_buckets(G, x, recs).items():
+            table.by_class[(x, reps)] = count
     return table

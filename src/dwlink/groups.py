@@ -3,8 +3,11 @@
 Elements are dense indices 0..order-1.  For groups built from generators the
 ordering is breadth-first discovery order with index 0 the identity; for
 groups built from an explicit table the table order is kept and the identity
-is located.  Conjugacy classes and all centralizers are computed eagerly at
-construction since the enumeration kernels query them in inner loops.
+is located.  Conjugacy classes and centralizers are computed at
+construction.  The partition of each centralizer Cen(x) into its own
+conjugacy classes is built lazily, once per x, as a table from each member
+to its class representative (FiniteGroup.cen_class_reps); the counting and
+congruence loops look classes up there instead of re-deriving orbits.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, itemgetter
 
 from .errors import (
     BadPermutation,
@@ -48,28 +53,29 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, g: int) -> bool:
-        return g in self._member_set
-
-    @property
-    def _member_set(self):
-        return frozenset(self.members)
-
 
 class FiniteGroup:
     """Immutable finite group backed by an order x order multiplication table."""
 
     def __init__(self, mul, names=None, name: str = "group", validate: bool = True):
-        mul = tuple(tuple(row) for row in mul)
+        try:
+            mul = tuple(tuple(row) for row in mul)
+        except TypeError:
+            raise BadShape("multiplication table is not a list of rows") from None
         n = len(mul)
         if n == 0:
             raise BadShape("empty multiplication table")
         for row in mul:
             if len(row) != n:
                 raise BadShape("multiplication table is not square")
-            for v in row:
-                if not (0 <= v < n):
-                    raise BadShape(f"table entry {v} out of range for order {n}")
+            # exact type: rejects floats such as 0.0 and bools
+            if set(map(type, row)) != {int}:
+                v = next(v for v in row if type(v) is not int)
+                raise BadShape(f"table entry {v!r} is not an integer")
+            lo, hi = min(row), max(row)
+            if lo < 0 or hi >= n:
+                v = lo if lo < 0 else hi
+                raise BadShape(f"table entry {v} out of range for order {n}")
         self.order = n
         self.table = mul
         self.name = name
@@ -79,6 +85,8 @@ class FiniteGroup:
             names = tuple(str(x) for x in names)
             if len(names) != n:
                 raise BadShape("names length does not match order")
+            if len(set(names)) != n:
+                raise BadShape("element names are not distinct")
         self.names = names
 
         if validate:
@@ -91,6 +99,10 @@ class FiniteGroup:
             for g in cl.members:
                 self.class_of[g] = ci
         self.centralizers = tuple(self._centralizer(x) for x in range(n))
+        # x -> cen_class_reps(x), filled on first use.  Declared here rather
+        # than added to the instance later, which slows every attribute
+        # lookup on the group (the scan reads G.inv at every letter step).
+        self._cen_reps = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -126,15 +138,14 @@ class FiniteGroup:
         raise NotAGroup("no two-sided identity")
 
     def _find_inverses(self):
-        n, e = self.order, self.id
-        inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if self.table[g][h] == e and self.table[h][g] == e:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        e, mul = self.id, self.table
+        inv = []
+        for g, row in enumerate(mul):
+            # the identity's place in row g is g's only candidate right inverse
+            h = row.index(e) if e in row else None
+            if h is None or mul[h][g] != e:
                 raise NotAGroup(f"element {g} has no two-sided inverse")
+            inv.append(h)
         return tuple(inv)
 
     # -- basic arithmetic ----------------------------------------------------
@@ -183,16 +194,34 @@ class FiniteGroup:
         return tuple(classes)
 
     def _centralizer(self, x: int) -> Subgroup:
-        members = tuple(
-            g for g in range(self.order) if self.table[g][x] == self.table[x][g]
-        )
-        return Subgroup(members, self)
+        # g commutes with x where column x and row x of the table agree
+        column = map(itemgetter(x), self.table)
+        members = compress(range(self.order), map(eq, column, self.table[x]))
+        return Subgroup(tuple(members), self)
 
     def centralizer(self, x: int) -> Subgroup:
         return self.centralizers[x]
 
+    def cen_class_reps(self, x: int) -> dict[int, int]:
+        """Map every h in Cen(x) to the smallest member of its conjugacy
+        class inside Cen(x).  Built on the first call for each x, at
+        #classes(Cen x) * |Cen x| conjugations; callers must not modify it."""
+        reps = self._cen_reps.get(x)
+        if reps is None:
+            mul, inv = self.table, self.inv
+            members = self.centralizers[x].members
+            reps = {}
+            # members ascend, so the first unseen h is its orbit's minimum
+            for h in members:
+                if h not in reps:
+                    for g in members:
+                        reps[mul[mul[g][h]][inv[g]]] = h
+            self._cen_reps[x] = reps
+        return reps
+
     def class_in_subgroup(self, H: Subgroup, h: int) -> ConjClass:
-        """Orbit of h under conjugation by members of H only."""
+        """Orbit of h under conjugation by members of H only.  The reference
+        that cen_class_reps is tested against."""
         if h not in set(H.members):
             raise NotInSubgroup(f"element {h} is not in the subgroup")
         members = sorted({self.conj(g, h) for g in H.members})
@@ -270,10 +299,12 @@ def from_permutation_generators(
                     elems.append(q)
                     nxt.append(q)
         frontier = nxt
-    n = len(elems)
-    table = [
-        [index[tuple(a[b[i]] for i in range(degree))] for b in elems] for a in elems
-    ]
+    if degree == 1:  # only the identity; itemgetter(i) would return a bare item
+        table = [[0]]
+    else:
+        # the column getter of b maps a to a∘b = (a[b[0]], a[b[1]], ...)
+        cols = [itemgetter(*b) for b in elems]
+        table = [[index[col(a)] for col in cols] for a in elems]
     names = [_perm_name(p) for p in elems]
     return FiniteGroup(table, names=names, name=name, validate=False)
 
@@ -352,22 +383,22 @@ def quaternion8() -> FiniteGroup:
 # -- group spec strings -----------------------------------------------------
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLES_RE = re.compile(r"(?:\s*\([^()]*\))*\s*")
 
 
 def _parse_cycles(text: str):
-    """Parse e.g. '(1 2)(3 4)' into [[1,2],[3,4]]; 'e' or '' is identity."""
+    """Parse e.g. '(1 2)(3 4)' into [[1,2],[3,4]]; 'e' or '' is identity.
+    Text left over around the cycles is an error."""
     text = text.strip()
     if text in ("", "e", "()"):
         return []
+    if not _CYCLES_RE.fullmatch(text):
+        raise BadPermutation(f"cannot parse cycles from {text!r}")
     cycles = []
-    consumed = 0
-    for m in _CYCLE_RE.finditer(text):
-        consumed += len(m.group(0))
-        pts = [int(tok) for tok in m.group(1).replace(",", " ").split()]
+    for body in _CYCLE_RE.findall(text):
+        pts = [int(tok) for tok in body.replace(",", " ").split()]
         if pts:
             cycles.append(tuple(pts))
-    if consumed != len(text.replace(" ", "")) and not cycles:
-        raise BadPermutation(f"cannot parse cycles from {text!r}")
     return cycles
 
 

@@ -22,6 +22,34 @@ class TestGroupInfo:
     def test_bad_spec(self, capsys):
         assert main(["group-info", "--group", "nope:3"]) == 2
 
+    @pytest.mark.parametrize("spec", ["perm:3:(1 2)junk", "perm:3:(1 2)(3"])
+    def test_perm_leftover_text_exit2(self, capsys, spec):
+        assert main(["group-info", "--group", spec]) == 2
+
+
+def _file_group(tmp_path, doc):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    return f"file:{path}"
+
+
+class TestFileGroup:
+    def test_z2(self, capsys, tmp_path):
+        spec = _file_group(tmp_path, {"mul": [[0, 1], [1, 0]], "names": ["e", "a"]})
+        code, out = run(capsys, "group-info", "--group", spec)
+        assert code == 0 and json.loads(out)["order"] == 2
+
+    @pytest.mark.parametrize(
+        "mul", [[[0.0, 1], [1, 0]], [[False, True], [True, False]], [1, 0]]
+    )
+    def test_malformed_table_exit2(self, capsys, tmp_path, mul):
+        spec = _file_group(tmp_path, {"mul": mul})
+        assert main(["group-info", "--group", spec]) == 2
+
+    def test_duplicate_names_exit2(self, capsys, tmp_path):
+        spec = _file_group(tmp_path, {"mul": [[0, 1], [1, 0]], "names": ["a", "a"]})
+        assert main(["homs", "--braid", "2: 1", "--group", spec, "--x", "a"]) == 2
+
 
 class TestBraidInfo:
     def test_trefoil(self, capsys):

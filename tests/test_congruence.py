@@ -1,6 +1,6 @@
 import pytest
 
-from dwlink import braids, congruence, groups
+from dwlink import braids, congruence, dw, groups
 from dwlink.errors import (
     ComponentMismatch,
     GroupOrderDivisible,
@@ -109,6 +109,36 @@ class TestVerify:
         assert obj["ok"] is True
         assert obj["violations"] == []
         assert obj["components"] == 1
+
+
+def _reference_cen_class_reps(G, x):
+    """The class table of Cen(x) re-derived orbit by orbit."""
+    cen = G.centralizer(x)
+    return {h: G.class_in_subgroup(cen, h).representative for h in cen.members}
+
+
+def _outputs(braid, p, k, gspec):
+    inst = make(braid, p, k, gspec)
+    report = congruence.verify(inst).to_json_obj()
+    report.pop("elapsed")
+    table = dw.dw_table(inst.beta, inst.group)
+    return report, table.to_json_obj(), table.exact
+
+
+@pytest.mark.parametrize(
+    "braid, p, k, gspec",
+    [
+        ("3: 1 1 -2", 7, 1, "symmetric:5"),
+        ("2: 1 1 1", 5, 1, "symmetric:3"),
+        ("2: 1", 3, 1, "quaternion:8"),
+    ],
+)
+def test_class_lookup_matches_reference(monkeypatch, braid, p, k, gspec):
+    fast = _outputs(braid, p, k, gspec)
+    monkeypatch.setattr(
+        groups.FiniteGroup, "cen_class_reps", _reference_cen_class_reps
+    )
+    assert _outputs(braid, p, k, gspec) == fast
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ import pytest
 from dwlink import groups
 from dwlink.errors import (
     BadPermutation,
+    BadShape,
     GroupTooLarge,
     InputError,
     NotAGroup,
@@ -48,6 +49,19 @@ class TestFromCayleyTable:
     def test_bad_shape(self):
         with pytest.raises(InputError):
             groups.from_cayley_table([[0, 1]])
+
+    @pytest.mark.parametrize("entry", [0.0, True, "0", None])
+    def test_non_integer_entry(self, entry):
+        with pytest.raises(BadShape):
+            groups.from_cayley_table([[entry, 1], [1, 0]])
+
+    def test_out_of_range_entry(self):
+        with pytest.raises(BadShape, match="out of range"):
+            groups.from_cayley_table([[0, 2], [1, 0]])
+
+    def test_duplicate_names(self):
+        with pytest.raises(BadShape, match="distinct"):
+            groups.from_cayley_table([[0, 1], [1, 0]], names=["a", "a"])
 
 
 class TestFromPermutationGenerators:
@@ -170,6 +184,31 @@ class TestClassInSubgroup:
                 assert sizes == cen.order
 
 
+# every built-in group of order at most 120
+SMALL_SPECS = (
+    [f"cyclic:{n}" for n in range(1, 9)]
+    + [f"dihedral:{n}" for n in range(3, 7)]
+    + ["quaternion:8"]
+    + [f"symmetric:{n}" for n in range(3, 6)]
+)
+
+
+class TestCenClassReps:
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_matches_class_in_subgroup(self, spec):
+        G = groups.from_group_spec(spec)
+        for x in G.elements():
+            cen = G.centralizer(x)
+            reps = G.cen_class_reps(x)
+            assert sorted(reps) == list(cen.members)
+            for h in cen.members:
+                assert reps[h] == G.class_in_subgroup(cen, h).representative
+
+    def test_built_once_per_x(self):
+        G = groups.symmetric(4)
+        assert G.cen_class_reps(3) is G.cen_class_reps(3)
+
+
 class TestPower:
     def test_zero(self):
         G = groups.symmetric(3)
@@ -229,6 +268,15 @@ class TestGroupSpec:
         )
         G = groups.from_group_spec(f"file:{path}")
         assert G.order == 3 and G.names == ("0", "1", "2")
+
+    @pytest.mark.parametrize("spec", ["perm:3:(1 2)junk", "perm:3:(1 2)(3"])
+    def test_perm_spec_leftover_text(self, spec):
+        with pytest.raises(BadPermutation):
+            groups.from_group_spec(spec)
+
+    def test_perm_spec_spaces_between_cycles(self):
+        G = groups.from_group_spec("perm:4: (1 2) (3 4) ;(1 3)")
+        assert G.order == 8
 
     def test_unknown(self):
         with pytest.raises(InputError):
