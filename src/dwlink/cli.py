@@ -3,14 +3,14 @@
 Exit codes: 0 success / no violations; 1 a mathematical violation was found
 (which signals an implementation bug, the checked identities being
 theorems); 2 invalid input or failed preconditions; 3 a resource cap was
-exceeded.
+exceeded, or the input asked for more than Python can index or allocate
+(OverflowError, MemoryError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import congruence, dw, gf, holonomy
@@ -29,10 +29,6 @@ def _emit(obj, pretty: bool):
         print(json.dumps(obj, indent=2))
     else:
         print(json.dumps(obj, separators=(",", ":")))
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def _parse_x(G, x_args, n):
@@ -91,7 +87,7 @@ def cmd_homs(args):
     n = components(beta).count
     x = _parse_x(G, args.x, n)
     recs = holonomy.enumerate_homs(
-        beta, G, x_constraint=x, threads=args.threads, allow_large=args.allow_large
+        beta, G, x_constraint=x, allow_large=args.allow_large
     )
     if args.count:
         _emit({"count": len(recs)}, args.pretty)
@@ -132,7 +128,7 @@ def cmd_verify(args):
     G = from_group_spec(args.group)
     instance = congruence.check_preconditions(beta, args.p, args.k, G)
     scope = "all" if args.all_x else "representatives"
-    report = congruence.verify(instance, x_scope=scope, threads=args.threads)
+    report = congruence.verify(instance, x_scope=scope)
     _emit(report.to_json_obj(), args.pretty)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -142,7 +138,7 @@ def cmd_sweep(args):
         catalog = json.load(fh)
     if not isinstance(catalog, list):
         raise InputError("catalog must be a JSON array")
-    summary = congruence.sweep(catalog, threads=args.threads)
+    summary = congruence.sweep(catalog)
     _emit(summary.to_json_obj(), args.pretty)
     if summary.any_violation:
         return EXIT_VIOLATION
@@ -180,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--threads",
                 type=int,
-                default=_default_threads(),
-                help="enumeration partition count (results are thread-count-invariant)",
+                help="accepted and ignored: dwlink runs single-threaded",
             )
 
     sp = sub.add_parser("group-info", help="order, classes, centralizer orders")
@@ -202,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_homs)
 
     sp = sub.add_parser("dw", help="counting tables over boundary data")
-    common(sp, braid=True, group=True, threads=True)
+    common(sp, braid=True, group=True)
     sp.add_argument(
         "--all-x", action="store_true", help="sweep all meridian tuples, not class reps"
     )
@@ -243,8 +238,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceError, OverflowError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

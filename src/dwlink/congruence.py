@@ -103,7 +103,6 @@ def check_preconditions(
 def verify(
     instance: CongruenceInstance,
     x_scope: str = "representatives",
-    threads: int = 1,
 ) -> CongruenceReport:
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
     q = p**k
@@ -118,12 +117,8 @@ def verify(
     report = CongruenceReport(instance, n)
     t0 = time.perf_counter()
     for x in x_tuples(G, n, x_scope):
-        rhs = class_buckets(
-            G, x, enumerate_homs(beta, G, x_constraint=x, threads=threads)
-        )
-        lhs = class_buckets(
-            G, x, enumerate_homs(big, G, x_constraint=x, threads=threads)
-        )
+        rhs = class_buckets(G, x, enumerate_homs(beta, G, x_constraint=x))
+        lhs = class_buckets(G, x, enumerate_homs(big, G, x_constraint=x))
         reps = [G.cen_class_reps(xt) for xt in x]
         # one representative h_t per class of Cen(x_t)
         rep_lists = [sorted(set(rep.values())) for rep in reps]
@@ -176,7 +171,7 @@ class SweepSummary:
         }
 
 
-def sweep(catalog, x_scope: str = "representatives", threads: int = 1) -> SweepSummary:
+def sweep(catalog, x_scope: str = "representatives") -> SweepSummary:
     """Run verify on each catalog entry, aggregating outcomes without
     aborting on per-entry failures.
 
@@ -199,7 +194,7 @@ def sweep(catalog, x_scope: str = "representatives", threads: int = 1) -> SweepS
             entries.append(SweepEntry(spec, "error", str(exc)))
             continue
         try:
-            report = verify(instance, x_scope=x_scope, threads=threads)
+            report = verify(instance, x_scope=x_scope)
         except Exception as exc:
             entries.append(SweepEntry(spec, "error", str(exc)))
             continue

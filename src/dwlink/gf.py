@@ -271,6 +271,8 @@ def frobenius_trace_check(
     """Check tr(A^p) = tr(A)^p, and the iterated form tr(A^(p^k)) = tr(A)^(p^k)
     for k up to max_k, on random matrices.  Failures would indicate an
     arithmetic bug; they are reported, not raised."""
+    if dim < 1:
+        raise ValueError("matrix dimension must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)

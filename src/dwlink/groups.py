@@ -101,7 +101,7 @@ class FiniteGroup:
         self.centralizers = tuple(self._centralizer(x) for x in range(n))
         # x -> cen_class_reps(x), filled on first use.  Declared here rather
         # than added to the instance later, which slows every attribute
-        # lookup on the group (the scan reads G.inv at every letter step).
+        # lookup on the group (every enumeration and longitude reads several).
         self._cen_reps = {}
 
     # -- construction checks -------------------------------------------------
@@ -312,6 +312,8 @@ def from_permutation_generators(
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("cyclic group order must be positive")
+    if n > ORDER_CAP:
+        raise GroupTooLarge(f"cyclic group order {n} exceeds cap of {ORDER_CAP}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(table, name=f"cyclic:{n}", validate=False)
 
@@ -321,6 +323,10 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("dihedral parameter must be positive")
     order = 2 * n
+    if order > ORDER_CAP:
+        raise GroupTooLarge(
+            f"dihedral group order {order} exceeds cap of {ORDER_CAP}"
+        )
 
     def idx(a, b):
         return a + n * b

@@ -4,13 +4,14 @@ Homomorphisms pi_1(beta^) -> G correspond to m-tuples of G fixed by the
 braid action on G^m.  A tuple labels the meridians at the bottom of the
 braid; the generator for letter +i sends (a, b) at the two crossing
 positions to (a b a^-1, a), its inverse sends (a, b) to (b, b^-1 a b).
-Per-component meridian and longitude images are derived from a fixed tuple.
+That action is written once, in _act; the fixed-point scan, artin_action
+and longitude_image all move labels with it.  Per-component meridian and
+longitude images are derived from a fixed tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .braids import BraidWord, ComponentData, components
@@ -20,15 +21,10 @@ from .groups import FiniteGroup
 SEARCH_CAP = 10**9
 
 
-def artin_action(beta: BraidWord, a, G: FiniteGroup) -> tuple[int, ...]:
-    """Propagate bottom labels through the braid; returns the top labels."""
-    if len(a) != beta.strands:
-        raise LengthMismatch(
-            f"tuple length {len(a)} != strand count {beta.strands}"
-        )
-    labels = list(a)
-    mul, inv = G.table, G.inv
-    for l in beta.letters:
+def _act(letters, labels, mul, inv):
+    """Move the labels in the list labels up through letters, in place, and
+    return the list."""
+    for l in letters:
         i = abs(l) - 1
         x, y = labels[i], labels[i + 1]
         if l > 0:
@@ -37,7 +33,16 @@ def artin_action(beta: BraidWord, a, G: FiniteGroup) -> tuple[int, ...]:
         else:
             labels[i] = y
             labels[i + 1] = mul[mul[inv[y]][x]][y]
-    return tuple(labels)
+    return labels
+
+
+def artin_action(beta: BraidWord, a, G: FiniteGroup) -> tuple[int, ...]:
+    """Propagate bottom labels through the braid; returns the top labels."""
+    if len(a) != beta.strands:
+        raise LengthMismatch(
+            f"tuple length {len(a)} != strand count {beta.strands}"
+        )
+    return tuple(_act(beta.letters, list(a), G.table, G.inv))
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,11 @@ def longitude_image(
 ) -> int:
     """Image of the 0-framed longitude of closure component t.
 
-    Traverses the component from its basepoint, accumulating the label of
-    the over-strand (to the sign of the letter) at every under-pass; the
-    blackboard-framed result is then corrected by the component's
-    self-writhe.
+    One pass over the letters collects, for every bottom position s, the
+    labels of the over-strands (to the sign of the letter) that the strand
+    entering at s passes under.  Composing these along the component's
+    cycle gives the blackboard-framed longitude, which is then corrected by
+    the component's self-writhe.
     """
     a = tuple(a)
     if check and artin_action(beta, a, G) != a:
@@ -71,37 +77,29 @@ def longitude_image(
         comp = components(beta)
     mul, inv = G.table, G.inv
 
-    acc = G.id
-    start = comp.basepoints[t]
-    pos = start
-    for _ in comp.cycles[t]:
-        labels = list(a)
-        for l in beta.letters:
-            i = abs(l) - 1
-            x, y = labels[i], labels[i + 1]
-            if pos == i or pos == i + 1:
-                # accumulate the over-strand's label (to the letter's sign) at
-                # every under-pass; with mul(a, b) meaning "b first", traversal
-                # order puts new contributions on the left
-                if l > 0:
-                    # strand at position i passes over
-                    if pos == i + 1:
-                        acc = mul[x][acc]
-                else:
-                    # strand at position i+1 passes over
-                    if pos == i:
-                        acc = mul[inv[y]][acc]
-                pos = i + 1 if pos == i else i
-            if l > 0:
-                labels[i] = mul[mul[x][y]][inv[x]]
-                labels[i + 1] = x
-            else:
-                labels[i] = y
-                labels[i + 1] = mul[mul[inv[y]][x]][y]
-        # closure arc: top position p joins bottom position p
-    assert pos == start
+    labels = list(a)
+    hol = [G.id] * beta.strands
+    at = list(range(beta.strands))  # at[p] = bottom position of the strand at p
+    for l in beta.letters:
+        i = abs(l) - 1
+        # with mul(a, b) meaning "b first", traversal order puts new
+        # contributions on the left
+        if l > 0:
+            # strand at position i passes over
+            s = at[i + 1]
+            hol[s] = mul[labels[i]][hol[s]]
+        else:
+            # strand at position i+1 passes over
+            s = at[i]
+            hol[s] = mul[inv[labels[i + 1]]][hol[s]]
+        at[i], at[i + 1] = at[i + 1], at[i]
+        _act((l,), labels, mul, inv)
 
-    meridian = a[start]
+    # the closure arcs join the strands in the order of the cycle
+    acc = G.id
+    for p in comp.cycles[t]:
+        acc = mul[hol[p]][acc]
+    meridian = a[comp.basepoints[t]]
     return mul[acc][G.power(meridian, -comp.self_writhe[t])]
 
 
@@ -123,36 +121,10 @@ def _candidate_sets(beta, G, comp, x_constraint):
     return cands
 
 
-def _scan(beta, G, comp, cands_chunk):
-    mul = G.table
-    perm_letters = beta.letters
-    out = []
-    for a in itertools.product(*cands_chunk):
-        labels = list(a)
-        ok = True
-        for l in perm_letters:
-            i = abs(l) - 1
-            x, y = labels[i], labels[i + 1]
-            if l > 0:
-                labels[i] = mul[mul[x][y]][G.inv[x]]
-                labels[i + 1] = x
-            else:
-                labels[i] = y
-                labels[i + 1] = mul[mul[G.inv[y]][x]][y]
-        for i in range(len(a)):
-            if labels[i] != a[i]:
-                ok = False
-                break
-        if ok:
-            out.append(a)
-    return out
-
-
 def enumerate_homs(
     beta: BraidWord,
     G: FiniteGroup,
     x_constraint=None,
-    threads: int = 1,
     allow_large: bool = False,
 ) -> list[HomRecord]:
     """All fixed tuples of the braid action, in lexicographic order, with
@@ -169,13 +141,12 @@ def enumerate_homs(
             f"search space of {size} candidates exceeds cap {SEARCH_CAP}"
         )
 
-    if threads > 1 and cands and len(cands[0]) > 1:
-        chunks = [[[c0]] + [list(c) for c in cands[1:]] for c0 in cands[0]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda ch: _scan(beta, G, comp, ch), chunks)
-            fixed = [a for part in results for a in part]
-    else:
-        fixed = _scan(beta, G, comp, cands)
+    letters, mul, inv = beta.letters, G.table, G.inv
+    fixed = [
+        a
+        for a in itertools.product(*cands)
+        if tuple(_act(letters, list(a), mul, inv)) == a
+    ]
 
     records = []
     for a in fixed:

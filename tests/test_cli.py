@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dwlink import groups
 from dwlink.cli import main
 
 
@@ -21,6 +22,11 @@ class TestGroupInfo:
 
     def test_bad_spec(self, capsys):
         assert main(["group-info", "--group", "nope:3"]) == 2
+
+    @pytest.mark.parametrize("spec", ["cyclic:7", "dihedral:4"])
+    def test_order_cap_exit3(self, capsys, monkeypatch, spec):
+        monkeypatch.setattr(groups, "ORDER_CAP", 6)
+        assert main(["group-info", "--group", spec]) == 3
 
     @pytest.mark.parametrize("spec", ["perm:3:(1 2)junk", "perm:3:(1 2)(3"])
     def test_perm_leftover_text_exit2(self, capsys, spec):
@@ -111,6 +117,11 @@ class TestDw:
         assert len(doc["exact_entries"]) == 4
         assert all(e["count"] == 1 for e in doc["exact_entries"])
 
+    def test_threads_is_a_usage_error(self, capsys):
+        args = ["dw", "--braid", "2: 1 1", "--group", "cyclic:2"]
+        assert main(args) == 0
+        assert main(args + ["--threads", "1"]) == 2
+
 
 class TestVerify:
     def test_trefoil_unknot(self, capsys):
@@ -135,6 +146,13 @@ class TestVerify:
             ]
         )
         assert code == 2
+
+    def test_power_too_long_exit3(self, capsys):
+        # 3^40 copies of the word cannot be indexed: fails before allocating
+        code = main(
+            ["verify", "--braid", "2: 1", "-p", "3", "-k", "40", "--group", "cyclic:2"]
+        )
+        assert code == 3
 
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "--braid", "2: 1", "-p", "3", "-k", "1",
@@ -184,6 +202,10 @@ class TestFrobcheck:
 
     def test_not_prime(self, capsys):
         assert main(["frobcheck", "-p", "4", "-n", "2"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_dimension_below_one_exit2(self, capsys, n):
+        assert main(["frobcheck", "-p", "2", "-n", n, "--trials", "3"]) == 2
 
 
 class TestDeterminism:

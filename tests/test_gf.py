@@ -170,6 +170,11 @@ class TestFrobeniusTraceCheck:
         report = gf.frobenius_trace_check(F, 3, 50)
         assert report["ok"] and report["trials"] == 50
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_below_one(self, dim):
+        with pytest.raises(ValueError):
+            gf.frobenius_trace_check(gf.field_make(2, 1), dim, 3)
+
     def test_grid_sample(self):
         for p, e, dim in itertools.product((2, 3), (1, 2), (2, 3)):
             F = gf.field_make(p, e)

@@ -278,6 +278,14 @@ class TestGroupSpec:
         G = groups.from_group_spec("perm:4: (1 2) (3 4) ;(1 3)")
         assert G.order == 8
 
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "ORDER_CAP", 6)
+        assert groups.from_group_spec("cyclic:6").order == 6
+        assert groups.from_group_spec("dihedral:3").order == 6
+        for spec in ("cyclic:7", "dihedral:4"):
+            with pytest.raises(GroupTooLarge):
+                groups.from_group_spec(spec)
+
     def test_unknown(self):
         with pytest.raises(InputError):
             groups.from_group_spec("alternating:5")
