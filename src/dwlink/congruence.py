@@ -24,9 +24,10 @@ from .errors import (
     GroupOrderDivisible,
     NotPrime,
     InputError,
+    WordTooLong,
 )
 from .groups import FiniteGroup
-from .holonomy import enumerate_homs
+from .holonomy import WORD_CAP, enumerate_homs
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,14 @@ def verify(
     x_scope: str = "representatives",
 ) -> CongruenceReport:
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
+    # p >= 2, so k >= WORD_CAP.bit_length() alone means p^k > WORD_CAP; it
+    # spares computing a huge power
+    ell = len(beta.letters)
+    if ell and (k >= WORD_CAP.bit_length() or p**k * ell > WORD_CAP):
+        raise WordTooLong(
+            f"the braid power has {p}^{k} copies of a {ell}-letter word, "
+            f"more than the cap of {WORD_CAP} letters"
+        )
     q = p**k
     big = braid_power(beta, q)
 

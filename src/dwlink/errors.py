@@ -79,6 +79,10 @@ class ComponentMismatch(InputError):
     pass
 
 
+class WordTooLong(ResourceError):
+    pass
+
+
 # finite fields
 class DegreeTooLarge(InputError):
     pass

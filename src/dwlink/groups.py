@@ -347,6 +347,14 @@ def dihedral(n: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("symmetric group degree must be positive")
+    # refuse n! > ORDER_CAP before building any permutation of degree n
+    order = 1
+    for i in range(2, n + 1):
+        order *= i
+        if order > ORDER_CAP:
+            raise GroupTooLarge(
+                f"symmetric group of degree {n} exceeds cap of {ORDER_CAP} elements"
+            )
     if n == 1:
         return from_permutation_generators(1, [], name="symmetric:1")
     gens = [[(1, 2)]]

@@ -7,6 +7,18 @@ positions to (a b a^-1, a), its inverse sends (a, b) to (b, b^-1 a b).
 That action is written once, in _act; the fixed-point scan, artin_action
 and longitude_image all move labels with it.  Per-component meridian and
 longitude images are derived from a fixed tuple.
+
+The scan is reduced by conjugation.  Let H be the elements commuting with
+every prescribed meridian (all of G when none is prescribed).  Conjugating
+a tuple entrywise by h in H commutes with the braid action, since _act only
+forms group words, and maps every candidate set to itself.  So H permutes
+the fixed tuples.  Fix p0, the first position with more than one
+candidate, and record for one member r of each H-orbit there one h per
+orbit member (a transversal of H / Cen_H(r)).  Then every fixed tuple b is
+h a h^-1 for exactly one pair: a is a fixed tuple with a[p0] = r, the
+recorded member of the orbit of b[p0], and h is the element recorded for
+b[p0].  enumerate_homs scans only such a and expands each one by its
+transversal; the result is exact, with no duplicates to remove.
 """
 
 from __future__ import annotations
@@ -19,6 +31,9 @@ from .errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
 from .groups import FiniteGroup
 
 SEARCH_CAP = 10**9
+# letters in a braid power beta^q, which congruence.verify walks once per
+# candidate tuple
+WORD_CAP = 10**6
 
 
 def _act(letters, labels, mul, inv):
@@ -121,6 +136,22 @@ def _candidate_sets(beta, G, comp, x_constraint):
     return cands
 
 
+def _orbit_transversals(cands, H, G):
+    """Split the H-invariant list cands into H-conjugacy orbits.  Maps the
+    first member r of each orbit to one h per orbit member c, h r h^-1 = c."""
+    mul, inv = G.table, G.inv
+    trans = {}
+    seen = set()
+    for r in cands:
+        if r not in seen:
+            by_member = {}
+            for h in H:
+                by_member.setdefault(mul[mul[h][r]][inv[h]], h)
+            seen.update(by_member)
+            trans[r] = list(by_member.values())
+    return trans
+
+
 def enumerate_homs(
     beta: BraidWord,
     G: FiniteGroup,
@@ -129,7 +160,13 @@ def enumerate_homs(
 ) -> list[HomRecord]:
     """All fixed tuples of the braid action, in lexicographic order, with
     meridian and longitude data.  x_constraint optionally prescribes the
-    meridian image of each closure component."""
+    meridian image of each closure component.
+
+    Only one representative per H-conjugacy orbit is scanned at the first
+    position with more than one candidate (see the module docstring); each
+    fixed tuple found is then conjugated by that orbit's transversal.  With
+    H = G this divides the scan by about |G| / #classes.  SEARCH_CAP bounds
+    the unreduced candidate space."""
     comp = components(beta)
     cands = _candidate_sets(beta, G, comp, x_constraint)
 
@@ -141,12 +178,23 @@ def enumerate_homs(
             f"search space of {size} candidates exceeds cap {SEARCH_CAP}"
         )
 
+    if x_constraint is None:
+        H = G.elements()
+    else:
+        H = set.intersection(
+            *(set(G.centralizers[x].members) for x in x_constraint)
+        )
+    p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
+    trans = _orbit_transversals(cands[p0], H, G)
+    cands[p0] = list(trans)
+
     letters, mul, inv = beta.letters, G.table, G.inv
-    fixed = [
-        a
+    fixed = sorted(
+        tuple([mul[mul[h][g]][inv[h]] for g in a])
         for a in itertools.product(*cands)
         if tuple(_act(letters, list(a), mul, inv)) == a
-    ]
+        for h in trans[a[p0]]
+    )
 
     records = []
     for a in fixed:

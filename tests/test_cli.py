@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dwlink import groups
+from dwlink import congruence, groups
 from dwlink.cli import main
 
 
@@ -27,6 +27,14 @@ class TestGroupInfo:
     def test_order_cap_exit3(self, capsys, monkeypatch, spec):
         monkeypatch.setattr(groups, "ORDER_CAP", 6)
         assert main(["group-info", "--group", spec]) == 3
+
+    def test_symmetric_over_cap_exit3(self, capsys, monkeypatch):
+        # refused from n! alone, before any permutation of degree n is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("permutations built past the order cap")
+
+        monkeypatch.setattr(groups, "from_permutation_generators", no_build)
+        assert main(["group-info", "--group", "symmetric:100000"]) == 3
 
     @pytest.mark.parametrize("spec", ["perm:3:(1 2)junk", "perm:3:(1 2)(3"])
     def test_perm_leftover_text_exit2(self, capsys, spec):
@@ -148,9 +156,20 @@ class TestVerify:
         assert code == 2
 
     def test_power_too_long_exit3(self, capsys):
-        # 3^40 copies of the word cannot be indexed: fails before allocating
+        # 3^40 copies of the word: refused by the word cap before allocating
         code = main(
             ["verify", "--braid", "2: 1", "-p", "3", "-k", "40", "--group", "cyclic:2"]
+        )
+        assert code == 3
+
+    def test_power_over_word_cap_exit3(self, capsys, monkeypatch):
+        # 3^20 letters: refused before the power is built or walked
+        def no_power(beta, n):
+            raise AssertionError("braid power built past the word cap")
+
+        monkeypatch.setattr(congruence, "braid_power", no_power)
+        code = main(
+            ["verify", "--braid", "2: 1", "-p", "3", "-k", "20", "--group", "cyclic:2"]
         )
         assert code == 3
 

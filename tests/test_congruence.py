@@ -6,6 +6,7 @@ from dwlink.errors import (
     GroupOrderDivisible,
     InputError,
     NotPrime,
+    WordTooLong,
 )
 
 
@@ -38,6 +39,12 @@ class TestPreconditions:
 
 
 class TestVerify:
+    def test_word_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(congruence, "WORD_CAP", 9)
+        assert congruence.verify(make("2: 1", 3, 2, "cyclic:2")).ok  # 9 letters
+        with pytest.raises(WordTooLong):
+            congruence.verify(make("2: 1", 3, 3, "cyclic:2"))  # 27 letters
+
     def test_trefoil_vs_unknot_z2(self):
         report = congruence.verify(make("2: 1", 3, 1, "cyclic:2"))
         assert report.ok and report.n == 1

@@ -278,6 +278,25 @@ class TestGroupSpec:
         G = groups.from_group_spec("perm:4: (1 2) (3 4) ;(1 3)")
         assert G.order == 8
 
+    def test_symmetric_order_cap(self, monkeypatch):
+        # 7! = 5040 <= ORDER_CAP < 8!; a real S7 build takes seconds, so the
+        # builder is stubbed to see which degrees reach it
+        built = []
+        monkeypatch.setattr(
+            groups, "from_permutation_generators",
+            lambda degree, gens, name: built.append(degree),
+        )
+        groups.symmetric(7)
+        with pytest.raises(GroupTooLarge):
+            groups.symmetric(8)
+        assert built == [7]
+
+    def test_symmetric_order_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(groups, "ORDER_CAP", 24)
+        assert groups.symmetric(4).order == 24
+        with pytest.raises(GroupTooLarge):
+            groups.symmetric(5)
+
     def test_order_cap(self, monkeypatch):
         monkeypatch.setattr(groups, "ORDER_CAP", 6)
         assert groups.from_group_spec("cyclic:6").order == 6

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwlink import braids, dw, groups, holonomy
 from dwlink.errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
@@ -14,6 +15,16 @@ def random_braid(rng, max_strands=4, max_len=8):
     length = rng.randint(0, max_len) if m > 1 else 0
     alphabet = [s * i for i in range(1, m) for s in (1, -1)]
     return braids.BraidWord(m, tuple(rng.choice(alphabet) for _ in range(length)))
+
+
+SMALL_GROUPS = [
+    groups.cyclic(2),
+    groups.cyclic(3),
+    groups.cyclic(4),
+    groups.symmetric(3),
+    groups.dihedral(2),
+    groups.quaternion8(),
+]
 
 
 class TestArtinAction:
@@ -121,6 +132,89 @@ class TestEnumerateHoms:
             b = random_braid(rng, max_strands=3, max_len=4)
             G = rng.choice(pool)
             assert holonomy.count_homs(b, G) == wirtinger_count(b, G)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_wirtinger_oracle_property(self, data):
+        G = data.draw(st.sampled_from(SMALL_GROUPS))
+        m = data.draw(st.integers(1, 3))
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        letters = []
+        if m > 1:
+            letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=4))
+        b = braids.BraidWord(m, tuple(letters))
+        assert holonomy.count_homs(b, G) == wirtinger_count(b, G)
+
+
+def relabelled(G, perm):
+    """G with element g renamed perm[g]."""
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in G.elements():
+        for b in G.elements():
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return groups.from_cayley_table(table, name=f"relabelled {G.name}")
+
+
+def unreduced_homs(beta, G, x=None):
+    """Every tuple of the unreduced candidate sets that the braid fixes,
+    with its records: the scan without the conjugation reduction."""
+    comp = braids.components(beta)
+    recs = []
+    for a in itertools.product(*holonomy._candidate_sets(beta, G, comp, x)):
+        if holonomy.artin_action(beta, a, G) == a:
+            longitude = tuple(
+                holonomy.longitude_image(beta, a, t, G, comp=comp, check=False)
+                for t in range(comp.count)
+            )
+            meridian = tuple(a[p] for p in comp.basepoints)
+            recs.append(holonomy.HomRecord(a, meridian, longitude))
+    return recs
+
+
+class TestOrbitReduction:
+    def test_matches_unreduced_scan(self):
+        rng = random.Random(19)
+        s3 = groups.symmetric(3)
+        pool = [
+            s3,
+            groups.quaternion8(),
+            groups.dihedral(4),
+            groups.cyclic(4),
+            groups.symmetric(4),
+            # the identity is the last element, so H does not start with it
+            relabelled(s3, list(reversed(s3.elements()))),
+        ]
+        covered = set()
+        for i in range(100):
+            G = pool[i % len(pool)]
+            b = random_braid(rng, max_strands=3 if G.order > 8 else 4, max_len=8)
+            comp = braids.components(b)
+            n = comp.count
+            central = [g for g in G.elements() if G.centralizers[g].order == G.order]
+            others = [g for g in G.elements() if g not in central]
+            # x central: H = G; x non-central: H a proper subgroup
+            for pool_x in (central, others):
+                if not pool_x:  # G abelian
+                    continue
+                x = tuple(rng.choice(pool_x) for _ in range(n))
+                H = set.intersection(*(set(G.centralizers[xt].members) for xt in x))
+                cands = holonomy._candidate_sets(b, G, comp, x)
+                p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
+                if len(H) == G.order:
+                    covered.add("H = G")
+                elif any(G.conj(h, c) != c for h in H for c in cands[p0]):
+                    covered.add("H < G with orbits at p0")
+                if n > 1 and p0 > 0:
+                    covered.add("several components, p0 > 0")
+                assert holonomy.enumerate_homs(b, G, x_constraint=x) == unreduced_homs(
+                    b, G, x
+                )
+            assert holonomy.enumerate_homs(b, G) == unreduced_homs(b, G)
+        assert covered == {
+            "H = G",
+            "H < G with orbits at p0",
+            "several components, p0 > 0",
+        }
 
 
 class TestLongitude:
