@@ -114,8 +114,9 @@ def verify(
             f"the braid power has {p}^{k} copies of a {ell}-letter word, "
             f"more than the cap of {WORD_CAP} letters"
         )
-    q = p**k
-    big = braid_power(beta, q)
+    # built only for a nonempty word, once the cap has bounded p^k
+    big = braid_power(beta, p**k) if ell else beta
+    q = pow(p, k, G.order)  # h^|G| = e, so h^(p^k) = h^q
 
     comp = components(beta)
     comp_big = components(big)

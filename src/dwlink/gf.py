@@ -9,6 +9,7 @@ full addition and multiplication tables are precomputed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -45,36 +46,30 @@ def _poly_mod(a, m, p):
 
 
 def _is_irreducible(coeffs, p):
-    """Trial division of the monic polynomial by every monic polynomial of
-    degree up to half its own."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p**d):
-            div = []
-            v = idx
-            for _ in range(d):
-                div.append(v % p)
-                v //= p
-            div.append(1)
-            if not any(_poly_mod(coeffs, div, p)):
-                return False
+    """Ben-Or's test: the monic polynomial f of degree e is irreducible iff
+    gcd(x^(p^i) - x mod f, f) = 1 for every i <= e/2."""
+    xq = [0, 1]  # x^(p^i) mod f
+    for _ in range((len(coeffs) - 1) // 2):
+        base, n, xq = xq, p, [1]
+        while n:  # xq = base^p mod f, by squaring
+            if n & 1:
+                xq = _poly_mod(_poly_mul(xq, base, p), coeffs, p)
+            base = _poly_mod(_poly_mul(base, base, p), coeffs, p)
+            n >>= 1
+        a, b = coeffs, [(c - (i == 1)) % p for i, c in enumerate(xq)]
+        while any(b):  # Euclid's algorithm; a ends as the gcd times a unit
+            b = b[: max(i for i, c in enumerate(b) if c) + 1]
+            unit = pow(b[-1], p - 2, p)
+            a, b = b, _poly_mod(a, [c * unit % p for c in b], p)
+        if len(a) > 1:
+            return False
     return True
 
 
 def _smallest_irreducible(p, e):
-    if e == 1:
-        return [0, 1]  # the polynomial x
-    for idx in range(p**e):
-        coeffs = []
-        v = idx
-        for _ in range(e):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
+    # product varies its last digit fastest; reversed, that is the constant term
+    for digits in itertools.product(range(p), repeat=e):
+        coeffs = [*reversed(digits), 1]
         if _is_irreducible(coeffs, p):
             return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -3,17 +3,18 @@
 Elements are dense indices 0..order-1.  For groups built from generators the
 ordering is breadth-first discovery order with index 0 the identity; for
 groups built from an explicit table the table order is kept and the identity
-is located.  Conjugacy classes and centralizers are computed at
-construction.  The partition of each centralizer Cen(x) into its own
-conjugacy classes is built lazily, once per x, as a table from each member
-to its class representative (FiniteGroup.cen_class_reps); the counting and
-congruence loops look classes up there instead of re-deriving orbits.
+is located; an explicit table must be a Latin square that passes Light's
+associativity test, which is exact.  Conjugation orbits are split by one
+routine, FiniteGroup.orbits.  Conjugacy classes and centralizers are
+computed at construction.  The partition of each centralizer Cen(x) into
+its own conjugacy classes is built lazily, once per x, as a table from each
+member to its class representative (FiniteGroup.cen_class_reps); the
+counting and congruence loops look classes up there.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -29,10 +30,6 @@ from .errors import (
 )
 
 ORDER_CAP = 10000
-
-# above this order, associativity is sampled instead of checked exhaustively
-_EXHAUSTIVE_ASSOC_CAP = 64
-_ASSOC_SAMPLES = 10000
 
 
 @dataclass(frozen=True)
@@ -113,22 +110,35 @@ class FiniteGroup:
         for i, row in enumerate(mul):
             if set(row) != full:
                 raise NotAGroup(f"row {i} is not a permutation of the elements")
-        for j in range(n):
-            if {mul[i][j] for i in range(n)} != full:
+        for j, column in enumerate(zip(*mul)):
+            if set(column) != full:
                 raise NotAGroup(f"column {j} is not a permutation of the elements")
-        if n <= _EXHAUSTIVE_ASSOC_CAP:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOC_SAMPLES)
-            )
-        for a, b, c in triples:
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise NotAGroup(f"associativity fails at witness ({a}, {b}, {c})")
+        if n == 1:  # [[0]]; itemgetter(i) would return a bare item
+            return
+        # Light's test: the g with (x g) y = x (g y) for all x, y are closed
+        # under multiplication, so checking a generating set is exact.  Each
+        # generator is the smallest element not yet reached, where the
+        # reached set is closed under right multiplication by the generators.
+        # A generator is checked before it is used, so at most log2(n) + 2
+        # are picked: the checked ones lie in a group and double that set.
+        gens, reached = [], set()
+        for g in range(n):
+            if g in reached:
+                continue
+            at_gy = itemgetter(*mul[g])  # at_gy(row x) lists x (g y) over all y
+            for x, row in enumerate(mul):
+                xg_y, x_gy = mul[row[g]], at_gy(row)
+                if xg_y != x_gy:
+                    y = list(map(eq, xg_y, x_gy)).index(False)
+                    raise NotAGroup(f"associativity fails at witness ({x}, {g}, {y})")
+            gens.append(g)
+            reached.add(g)
+            todo = list(reached)
+            while todo:
+                row = mul[todo.pop()]
+                new = {row[h] for h in gens} - reached
+                reached |= new
+                todo += new
 
     def _find_identity(self) -> int:
         n = self.order
@@ -180,18 +190,26 @@ class FiniteGroup:
 
     # -- conjugacy machinery -------------------------------------------------
 
+    def orbits(self, members, H) -> dict[int, dict[int, int]]:
+        """Split the H-invariant, ascending list members into orbits under
+        conjugation by the elements of H.  Maps the smallest member r of
+        each orbit to a dict sending each orbit member c to the first h in
+        H with h r h^-1 = c, a transversal of H / Cen_H(r)."""
+        mul, inv = self.table, self.inv
+        orbits, seen = {}, set()
+        for r in members:
+            if r not in seen:
+                orbit = {}
+                for h in H:
+                    orbit.setdefault(mul[mul[h][r]][inv[h]], h)
+                seen.update(orbit)
+                orbits[r] = orbit
+        return orbits
+
     def _conjugacy_classes(self):
-        seen = [False] * self.order
-        classes = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            members = sorted({self.conj(g, x) for g in range(self.order)})
-            for m in members:
-                seen[m] = True
-            classes.append(ConjClass(members[0], tuple(members)))
-        classes.sort(key=lambda c: c.representative)
-        return tuple(classes)
+        G = range(self.order)
+        orbits = self.orbits(G, G).items()
+        return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)
 
     def _centralizer(self, x: int) -> Subgroup:
         # g commutes with x where column x and row x of the table agree
@@ -204,18 +222,13 @@ class FiniteGroup:
 
     def cen_class_reps(self, x: int) -> dict[int, int]:
         """Map every h in Cen(x) to the smallest member of its conjugacy
-        class inside Cen(x).  Built on the first call for each x, at
-        #classes(Cen x) * |Cen x| conjugations; callers must not modify it."""
+        class inside Cen(x).  Built from orbits on the first call for each
+        x; callers must not modify it."""
         reps = self._cen_reps.get(x)
         if reps is None:
-            mul, inv = self.table, self.inv
             members = self.centralizers[x].members
-            reps = {}
-            # members ascend, so the first unseen h is its orbit's minimum
-            for h in members:
-                if h not in reps:
-                    for g in members:
-                        reps[mul[mul[g][h]][inv[g]]] = h
+            orbits = self.orbits(members, members).items()
+            reps = {c: r for r, orbit in orbits for c in orbit}
             self._cen_reps[x] = reps
         return reps
 

@@ -13,12 +13,13 @@ every prescribed meridian (all of G when none is prescribed).  Conjugating
 a tuple entrywise by h in H commutes with the braid action, since _act only
 forms group words, and maps every candidate set to itself.  So H permutes
 the fixed tuples.  Fix p0, the first position with more than one
-candidate, and record for one member r of each H-orbit there one h per
-orbit member (a transversal of H / Cen_H(r)).  Then every fixed tuple b is
-h a h^-1 for exactly one pair: a is a fixed tuple with a[p0] = r, the
-recorded member of the orbit of b[p0], and h is the element recorded for
-b[p0].  enumerate_homs scans only such a and expands each one by its
-transversal; the result is exact, with no duplicates to remove.
+candidate, and split its candidates into H-orbits with G.orbits, which
+gives for the smallest member r of each orbit one h per orbit member (a
+transversal of H / Cen_H(r)).  Then every fixed tuple b is h a h^-1 for
+exactly one pair: a is a fixed tuple with a[p0] = r, the smallest member of
+the orbit of b[p0], and h is the transversal element for b[p0].
+enumerate_homs scans only such a and expands each one by its transversal;
+the result is exact, with no duplicates to remove.
 """
 
 from __future__ import annotations
@@ -136,22 +137,6 @@ def _candidate_sets(beta, G, comp, x_constraint):
     return cands
 
 
-def _orbit_transversals(cands, H, G):
-    """Split the H-invariant list cands into H-conjugacy orbits.  Maps the
-    first member r of each orbit to one h per orbit member c, h r h^-1 = c."""
-    mul, inv = G.table, G.inv
-    trans = {}
-    seen = set()
-    for r in cands:
-        if r not in seen:
-            by_member = {}
-            for h in H:
-                by_member.setdefault(mul[mul[h][r]][inv[h]], h)
-            seen.update(by_member)
-            trans[r] = list(by_member.values())
-    return trans
-
-
 def enumerate_homs(
     beta: BraidWord,
     G: FiniteGroup,
@@ -185,7 +170,7 @@ def enumerate_homs(
             *(set(G.centralizers[x].members) for x in x_constraint)
         )
     p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
-    trans = _orbit_transversals(cands[p0], H, G)
+    trans = G.orbits(cands[p0], H)
     cands[p0] = list(trans)
 
     letters, mul, inv = beta.letters, G.table, G.inv
@@ -193,7 +178,7 @@ def enumerate_homs(
         tuple([mul[mul[h][g]][inv[h]] for g in a])
         for a in itertools.product(*cands)
         if tuple(_act(letters, list(a), mul, inv)) == a
-        for h in trans[a[p0]]
+        for h in trans[a[p0]].values()
     )
 
     records = []

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dwlink import braids
 from dwlink.errors import BadBraid, StrandMismatch
@@ -68,22 +69,17 @@ class TestCompose:
         with pytest.raises(StrandMismatch):
             braids.compose(braids.parse_braid("2: 1"), braids.parse_braid("3: 1"))
 
-    def test_permutation_homomorphism(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            m = rng.randint(2, 4)
-            alphabet = [s * i for i in range(1, m) for s in (1, -1)]
-            b1 = braids.BraidWord(
-                m, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
-            )
-            b2 = braids.BraidWord(
-                m, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
-            )
-            p1 = braids.permutation(b1)
-            p2 = braids.permutation(b2)
-            composed = braids.permutation(braids.compose(b2, b1))
-            # sigma^(b2 b1) = sigma^b2 o sigma^b1
-            assert composed == tuple(p2[p1[i]] for i in range(m))
+    @given(data=st.data())
+    def test_permutation_homomorphism(self, data):
+        m = data.draw(st.integers(2, 6))
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        words = st.lists(st.sampled_from(alphabet), max_size=8)
+        b1 = braids.BraidWord(m, tuple(data.draw(words)))
+        b2 = braids.BraidWord(m, tuple(data.draw(words)))
+        p1, p2 = braids.permutation(b1), braids.permutation(b2)
+        composed = braids.permutation(braids.compose(b2, b1))
+        # sigma^(b2 b1) = sigma^b2 o sigma^b1
+        assert composed == tuple(p2[p1[i]] for i in range(m))
 
 
 class TestBraidPower:

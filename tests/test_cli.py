@@ -60,6 +60,17 @@ class TestFileGroup:
         spec = _file_group(tmp_path, {"mul": mul})
         assert main(["group-info", "--group", spec]) == 2
 
+    def test_nonassociative_latin_square_exit2(self, capsys, tmp_path):
+        # Z_400 with the 2x2 subsquare at rows 3, 203 and columns 5, 205
+        # swapped: still a Latin square, not associative
+        n = 400
+        mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+        mul[3][5], mul[3][205] = mul[3][205], mul[3][5]
+        mul[203][5], mul[203][205] = mul[203][205], mul[203][5]
+        spec = _file_group(tmp_path, {"mul": mul})
+        assert main(["group-info", "--group", spec]) == 2
+        assert "witness" in capsys.readouterr().err
+
     def test_duplicate_names_exit2(self, capsys, tmp_path):
         spec = _file_group(tmp_path, {"mul": [[0, 1], [1, 0]], "names": ["a", "a"]})
         assert main(["homs", "--braid", "2: 1", "--group", spec, "--x", "a"]) == 2
@@ -172,6 +183,19 @@ class TestVerify:
             ["verify", "--braid", "2: 1", "-p", "3", "-k", "20", "--group", "cyclic:2"]
         )
         assert code == 3
+
+    def test_empty_word_huge_k_exit0(self, capsys, monkeypatch):
+        # the unknot against itself: no braid power is built, and p^k is
+        # never formed
+        def no_power(beta, n):
+            raise AssertionError("braid power built for an empty word")
+
+        monkeypatch.setattr(congruence, "braid_power", no_power)
+        code, out = run(
+            capsys, "verify", "--braid", "1:", "-p", "3", "-k", "3000000",
+            "--group", "cyclic:2",
+        )
+        assert code == 0 and json.loads(out)["ok"]
 
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "--braid", "2: 1", "-p", "3", "-k", "1",

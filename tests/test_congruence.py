@@ -1,6 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 
-from dwlink import braids, congruence, dw, groups
+from dwlink import braids, congruence, dw, groups, holonomy
 from dwlink.errors import (
     ComponentMismatch,
     GroupOrderDivisible,
@@ -44,6 +47,18 @@ class TestVerify:
         assert congruence.verify(make("2: 1", 3, 2, "cyclic:2")).ok  # 9 letters
         with pytest.raises(WordTooLong):
             congruence.verify(make("2: 1", 3, 3, "cyclic:2"))  # 27 letters
+
+    @pytest.mark.parametrize(
+        "braid, gspec", [("1:", "cyclic:2"), ("2:", "symmetric:3")]
+    )
+    def test_empty_word_huge_k(self, monkeypatch, braid, gspec):
+        # p^k > sys.maxsize: neither the power nor p^k itself is built
+        def no_power(beta, n):
+            raise AssertionError("braid power built for an empty word")
+
+        monkeypatch.setattr(congruence, "braid_power", no_power)
+        report = congruence.verify(make(braid, 5, 10**7, gspec))
+        assert report.ok and report.cases_checked > 0
 
     def test_trefoil_vs_unknot_z2(self):
         report = congruence.verify(make("2: 1", 3, 1, "cyclic:2"))
@@ -146,6 +161,83 @@ def test_class_lookup_matches_reference(monkeypatch, braid, p, k, gspec):
         groups.FiniteGroup, "cen_class_reps", _reference_cen_class_reps
     )
     assert _outputs(braid, p, k, gspec) == fast
+
+
+def _pair_orbit(G, x, h):
+    """The smallest pair in the orbit of (x, h) under conjugation by G."""
+    return min((G.conj(g, x), G.conj(g, h)) for g in G.elements())
+
+
+def _orbit_keyed_counts(beta, G, classes, power):
+    """Records of beta with meridians in the classes of the tuple classes,
+    over every meridian tuple in that product of classes, counted by the
+    per-component G-orbit of the pair (meridian, longitude^power)."""
+    counts = Counter()
+    pools = [G.classes[G.class_of[c]].members for c in classes]
+    for x in itertools.product(*pools):
+        for r in holonomy.enumerate_homs(beta, G, x_constraint=x):
+            counts[
+                tuple(
+                    _pair_orbit(G, xt, G.power(lt, power))
+                    for xt, lt in zip(x, r.longitude)
+                )
+            ] += 1
+    return counts
+
+
+class TestDeckActionBuckets:
+    """The deck transformation of the closure of beta^(p^k) acts on its
+    homomorphisms as beta acts on Fix(beta^(p^k)), with Fix(beta) as the
+    fixed set; orbits have size a power of p.  It conjugates each
+    component's peripheral pair (meridian, longitude) by its own element.
+    So the invariant sets are keyed by per-component orbits of pairs, not
+    by a fixed meridian tuple x.  verify keys by x, and on this instance it
+    reports a violation where the orbit-keyed count finds none."""
+
+    braid, gspec, p = "3: 1 1 -2", "dihedral:5", 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_orbit_keyed_reference_holds(self, k):
+        beta = braids.parse_braid(self.braid)
+        G = groups.from_group_spec(self.gspec)
+        q = self.p**k
+        big = braids.braid_power(beta, q)
+        reps = [c.representative for c in G.classes]
+        keys = violations = 0
+        for classes in itertools.product(reps, repeat=2):
+            lhs = _orbit_keyed_counts(big, G, classes, 1)
+            rhs = _orbit_keyed_counts(beta, G, classes, q)
+            for key in lhs.keys() | rhs.keys():
+                keys += 1
+                violations += (lhs[key] - rhs[key]) % self.p != 0
+        assert (keys, violations) == (16, 0)
+
+    def test_components_conjugated_by_different_elements(self):
+        beta = braids.parse_braid(self.braid)
+        G = groups.from_group_spec(self.gspec)
+        big = braids.braid_power(beta, self.p)
+        comp = braids.components(big)
+
+        def peripheral(a):
+            return [
+                (a[b], holonomy.longitude_image(big, a, t, G, comp=comp))
+                for t, b in enumerate(comp.basepoints)
+            ]
+
+        moved = split = 0
+        for r in holonomy.enumerate_homs(big, G):
+            after = peripheral(holonomy.artin_action(beta, r.tuple, G))
+            conjugators = [
+                {g for g in G.elements() if (G.conj(g, x), G.conj(g, h)) == pair}
+                for (x, h), pair in zip(peripheral(r.tuple), after)
+            ]
+            # each pair moves within its own orbit, so the orbit keys hold
+            assert all(conjugators)
+            moved += tuple(x for x, _ in after) != r.meridian
+            split += not set.intersection(*conjugators)
+        # records leave their meridian bucket, and for some no single
+        # element conjugates both components at once
+        assert moved and split
 
 
 class TestSweep:

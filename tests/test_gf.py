@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -33,6 +34,45 @@ class TestFieldConstruction:
         for p, e in [(2, 2), (2, 4), (3, 2), (3, 3), (5, 2)]:
             F = gf.field_make(p, e)
             assert gf._is_irreducible(F.modulus, p)
+
+
+def trial_division_irreducible(coeffs, p):
+    """Divide the monic polynomial by every monic polynomial of degree up to
+    half its own: the reference for Ben-Or's test."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not any(gf._poly_mod(coeffs, [*tail, 1], p)):
+                return False
+    return True
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("p, max_e", [(2, 8), (3, 6), (5, 4), (7, 3)])
+    def test_ben_or_matches_trial_division(self, p, max_e):
+        for e in range(1, max_e + 1):
+            for tail in itertools.product(range(p), repeat=e):
+                f = [*tail, 1]
+                assert gf._is_irreducible(f, p) == trial_division_irreducible(f, p), f
+
+    def test_moduli_match_trial_division(self, monkeypatch):
+        # every (p, e) where the trial-division search takes at most ~0.1 s
+        grid = [
+            (p, e)
+            for p in (2, 3, 5, 7, 11, 13, 101)
+            for e in range(1, gf.DEGREE_CAP + 1)
+            if p ** (e // 2) <= 5000
+        ]
+        fast = [gf._smallest_irreducible(p, e) for p, e in grid]
+        monkeypatch.setattr(gf, "_is_irreducible", trial_division_irreducible)
+        assert [gf._smallest_irreducible(p, e) for p, e in grid] == fast
+
+    def test_large_prime_degree_12(self):
+        # trial division would try about 101^6 divisors per candidate
+        start = time.perf_counter()
+        F = gf.field_make(101, 12)
+        assert time.perf_counter() - start < 1
+        assert gf._is_irreducible(F.modulus, 101) and len(F.modulus) == 13
 
 
 class TestFieldArithmetic:

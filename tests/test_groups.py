@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -99,6 +100,86 @@ class TestFromPermutationGenerators:
             groups.FiniteGroup(G.table, names=G.names, validate=True)
 
 
+def is_associative(mul):
+    """Every triple, checked directly: the reference for Light's test."""
+    n = len(mul)
+    return all(
+        mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def isotope(G, rng):
+    """A random isotope of G's table: rows, columns and entries permuted.
+    It is a Latin square, and often not associative."""
+    n = G.order
+    alpha, beta, gamma = (rng.sample(range(n), n) for _ in range(3))
+    return [[gamma[G.table[alpha[i]][beta[j]]] for j in range(n)] for i in range(n)]
+
+
+def swap_intercalate(mul, a, c, b, d):
+    """mul with the values of the 2x2 subsquare at rows a, c and columns
+    b, d swapped; for mul[a][b] == mul[c][d] and mul[a][d] == mul[c][b] the
+    result is still a Latin square."""
+    mul = [list(row) for row in mul]
+    assert mul[a][b] == mul[c][d] and mul[a][d] == mul[c][b]
+    mul[a][b], mul[a][d] = mul[a][d], mul[a][b]
+    mul[c][b], mul[c][d] = mul[c][d], mul[c][b]
+    return mul
+
+
+def assoc_witness(mul):
+    """The triple named by NotAGroup, checked to break associativity."""
+    with pytest.raises(NotAGroup, match="witness") as err:
+        groups.from_cayley_table(mul)
+    x, g, y = map(int, err.value.args[0].rsplit("(", 1)[1].rstrip(")").split(","))
+    assert mul[mul[x][g]][y] != mul[x][mul[g][y]]
+    return x, g, y
+
+
+class TestLightAssociativity:
+    def test_matches_every_triple_on_isotopes(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(300):
+            mul = isotope(rng.choice(sample_groups()), rng)
+            assoc = is_associative(mul)
+            seen.add(assoc)
+            if assoc:
+                groups.from_cayley_table(mul)
+            else:
+                assoc_witness(mul)
+        assert seen == {True, False}
+
+    def test_intercalate_swap_in_z400(self):
+        # a single swapped 2x2 subsquare, which 10,000 sampled triples
+        # out of 400^3 would almost surely miss
+        n = 400
+        mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+        assoc_witness(swap_intercalate(mul, 3, 203, 5, 205))
+
+    @pytest.mark.parametrize("spec", ["cyclic:8", "dihedral:4", "symmetric:4"])
+    def test_every_intercalate_swap_is_caught(self, spec):
+        G = groups.from_group_spec(spec)
+        n, mul = G.order, G.table
+        swaps = 0
+        for a, c in itertools.combinations(range(n), 2):
+            for b, d in itertools.combinations(range(n), 2):
+                if mul[a][b] == mul[c][d] and mul[a][d] == mul[c][b]:
+                    assoc_witness(swap_intercalate(mul, a, c, b, d))
+                    swaps += 1
+        assert swaps
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic:720", "dihedral:360", "symmetric:6", "dihedral:7",
+         "perm:7:(1 2 3 4 5 6 7);(1 2 4)(3 6 5)"],
+    )
+    def test_large_builtin_groups_pass(self, spec):
+        G = groups.from_group_spec(spec)
+        groups.FiniteGroup(G.table, names=G.names, validate=True)
+
+
 class TestConjugacyClasses:
     def test_trivial(self):
         G = groups.cyclic(1)
@@ -191,6 +272,32 @@ SMALL_SPECS = (
     + ["quaternion:8"]
     + [f"symmetric:{n}" for n in range(3, 6)]
 )
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_orbits_and_transversals(self, spec):
+        G = groups.from_group_spec(spec)
+        for x in G.elements():
+            H = G.centralizer(x).members
+            orbits = G.orbits(G.elements(), H)
+            # the orbits partition G, each keyed by its smallest member
+            assert sorted(c for orbit in orbits.values() for c in orbit) == list(
+                G.elements()
+            )
+            for r, orbit in orbits.items():
+                assert set(orbit) == {G.conj(h, r) for h in H}
+                assert r == min(orbit)
+                for c, h in orbit.items():
+                    assert h == next(g for g in H if G.conj(g, r) == c)
+
+    def test_classes_are_the_orbits_of_g(self):
+        for G in sample_groups():
+            orbits = G.orbits(G.elements(), G.elements())
+            assert [c.representative for c in G.classes] == list(orbits)
+            assert [set(c.members) for c in G.classes] == [
+                set(orbit) for orbit in orbits.values()
+            ]
 
 
 class TestCenClassReps:

@@ -133,7 +133,7 @@ class TestEnumerateHoms:
             G = rng.choice(pool)
             assert holonomy.count_homs(b, G) == wirtinger_count(b, G)
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_wirtinger_oracle_property(self, data):
         G = data.draw(st.sampled_from(SMALL_GROUPS))
