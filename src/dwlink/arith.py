@@ -10,3 +10,18 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out

@@ -2,22 +2,28 @@
 
 Field elements are integers 0..p^e-1 encoding coefficient vectors in base p,
 constant term in the least significant digit.  The defining modulus is the
-lexicographically smallest monic irreducible polynomial of degree e over
-F_p, coefficients compared from the constant term up.  For small fields the
-full addition and multiplication tables are precomputed.
+monic irreducible polynomial of degree e over F_p whose coefficients below
+the leading 1, read as base-p digits with the constant term least
+significant, form the smallest number.
+
+Fields of order q up to _TABLE_CAP compute through Zech-log tables over a
+primitive element g (Lidl and Niederreiter, *Finite Fields*, ch. 9), each of
+size O(q): exp[i] = g^i, log (its inverse) and zech[i] = log(1 + g^i), so
+that g^a g^b = g^(a+b) and g^a + g^b = g^(a + zech[b-a]).  mat_mul adds up
+its dot products in the log domain.  Larger fields multiply polynomials
+modulo the modulus.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import is_prime, prime_factors
 from .errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime
 
 DEGREE_CAP = 12
-_TABLE_CAP = 4096  # precompute op tables for fields up to this order
+_TABLE_CAP = 4096  # build Zech-log tables for fields up to this order
 
 
 # -- polynomial helpers over F_p (coefficient lists, constant term first) ----
@@ -66,13 +72,33 @@ def _is_irreducible(coeffs, p):
     return True
 
 
+def _digits(n, p, e):
+    """The e lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(e):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
 def _smallest_irreducible(p, e):
-    # product varies its last digit fastest; reversed, that is the constant term
-    for digits in itertools.product(range(p), repeat=e):
-        coeffs = [*reversed(digits), 1]
+    # candidates in the order of their code n, constant term least significant
+    for n in range(p**e):
+        coeffs = [*_digits(n, p, e), 1]
         if _is_irreducible(coeffs, p):
             return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _power(x, n, mul):
+    """x^n for n >= 1 by left-to-right binary powering: floor(log2 n)
+    squarings and popcount(n) - 1 further products, none with the identity."""
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
 
 
 class FqField:
@@ -90,24 +116,34 @@ class FqField:
         self.zero = 0
         self.one = 1 % self.order
 
-        self._add_table = None
-        self._mul_table = None
+        # Zech-log tables, or None where the field computes with polynomials
+        self.exp = self.log = self.zech = None
         if self.order <= _TABLE_CAP:
-            q = self.order
-            add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-            self._add_table = add
-            self._mul_table = mul
+            self._build_tables()
+
+    def _build_tables(self):
+        """exp and zech have length 2(q-1), so a sum of two logs indexes exp
+        directly and a difference of two such sums indexes zech directly."""
+        p, q = self.p, self.order
+        m = q - 1
+        # the polynomial path finds g: the smallest element whose powers
+        # g^(m/r), r a prime divisor of m, all differ from 1
+        primes = prime_factors(m)
+        g = next(
+            a for a in range(1, q) if all(self.pow(a, m // r) != 1 for r in primes)
+        )
+        exp = [1] * m
+        for i in range(1, m):
+            exp[i] = self._mul_slow(exp[i - 1], g)
+        log = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp += exp
+        # 1 + a adds 1 to the constant digit of a; zech is None where it is 0
+        self.zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        self.exp, self.log = exp, log
 
     # -- packing -------------------------------------------------------------
-
-    def _unpack(self, a):
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(a % p)
-            a //= p
-        return out
 
     def _pack(self, coeffs):
         v = 0
@@ -121,42 +157,40 @@ class FqField:
         return self._pack(c)
 
     def coeffs(self, a: int):
-        return self._unpack(a)
+        return _digits(a, self.p, self.e)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _add_slow(self, a, b):
-        return self._pack(
-            [(x + y) % self.p for x, y in zip(self._unpack(a), self._unpack(b))]
-        )
+        return self._pack([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
     def _mul_slow(self, a, b):
-        prod = _poly_mul(self._unpack(a), self._unpack(b), self.p)
+        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
         return self._pack(_poly_mod(prod, self.modulus, self.p))
 
     def add(self, a, b):
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
+        if self.zech is None:
+            return self._add_slow(a, b)
+        if not a or not b:
+            return a or b
+        la, lb = self.log[a], self.log[b]
+        z = self.zech[lb - la]
+        return 0 if z is None else self.exp[la + z]
 
     def neg(self, a):
-        return self._pack([(-x) % self.p for x in self._unpack(a)])
+        return self._pack([-x for x in self.coeffs(a)])
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
+        if self.zech is None:
+            return self._mul_slow(a, b)
+        if not a or not b:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
 
     def pow(self, a, n: int):
         if n < 0:
             raise ValueError("negative exponents not supported")
-        acc = self.one
-        while n:
-            if n & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return acc
+        return _power(a, n, self.mul) if n else self.one
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -215,17 +249,46 @@ def mat_mul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
     if A.dim != B.dim:
         raise DimMismatch(f"dimension mismatch: {A.dim} vs {B.dim}")
     F = A.field
-    add, mul = F.add, F.mul
-    n = A.dim
-    Bt = list(zip(*B.entries))
+    cols = list(zip(*B.entries))
+    if F.zech is None:
+        add, mul = F.add, F.mul
+        rows = []
+        for arow in A.entries:
+            out = []
+            for bcol in cols:
+                s = 0
+                for x, y in zip(arow, bcol):
+                    s = add(s, mul(x, y))
+                out.append(s)
+            rows.append(tuple(out))
+        return FqMatrix(F, tuple(rows))
+
+    # Log domain: s is the log of the partial sum, None while the sum is 0.
+    # la + lb, the log of the next term, lies in 0..2(q-2); s stays there
+    # too, because s + zech[la + lb - s] drops q - 1 once if it reaches it.
+    exp, log, zech = F.exp, F.log, F.zech
+    m = F.order - 1
+    log_cols = [[log[y] for y in col] for col in cols]
     rows = []
     for arow in A.entries:
+        log_row = [log[x] for x in arow]
         out = []
-        for bcol in Bt:
-            s = 0
-            for x, y in zip(arow, bcol):
-                s = add(s, mul(x, y))
-            out.append(s)
+        for log_col in log_cols:
+            s = None
+            for la, lb in zip(log_row, log_col):
+                if la is None or lb is None:
+                    continue
+                if s is None:
+                    s = la + lb
+                    continue
+                z = zech[la + lb - s]
+                if z is None:  # the partial sum cancels to 0
+                    s = None
+                    continue
+                s += z
+                if s >= m:
+                    s -= m
+            out.append(0 if s is None else exp[s])
         rows.append(tuple(out))
     return FqMatrix(F, tuple(rows))
 
@@ -233,13 +296,8 @@ def mat_mul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
 def mat_pow(A: FqMatrix, n: int) -> FqMatrix:
     if n < 0:
         raise ValueError("negative matrix powers not supported")
-    acc = mat_identity(A.field, A.dim)
-    while n:
-        if n & 1:
-            acc = mat_mul(acc, A)
-        A = mat_mul(A, A)
-        n >>= 1
-    return acc
+    # the module-level mat_mul, looked up per call, so that a wrapper sees it
+    return _power(A, n, mat_mul) if n else mat_identity(A.field, A.dim)
 
 
 def trace(A: FqMatrix) -> int:

@@ -246,6 +246,13 @@ class TestFrobcheck:
     def test_not_prime(self, capsys):
         assert main(["frobcheck", "-p", "4", "-n", "2"]) == 2
 
+    def test_largest_table_field(self, capsys):
+        code, out = run(
+            capsys, "frobcheck", "-p", "2", "-e", "12", "-n", "6", "--trials", "10"
+        )
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_dimension_below_one_exit2(self, capsys, n):
         assert main(["frobcheck", "-p", "2", "-n", n, "--trials", "3"]) == 2

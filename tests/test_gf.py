@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from dwlink import gf
+from dwlink.arith import is_prime
 from dwlink.errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime
 
 
@@ -67,6 +70,17 @@ class TestIrreducibility:
         monkeypatch.setattr(gf, "_is_irreducible", trial_division_irreducible)
         assert [gf._smallest_irreducible(p, e) for p, e in grid] == fast
 
+    def test_large_prime_candidates_are_not_materialised(self):
+        # the answer x^2 + 1 is the second candidate; the search must not
+        # build a p-element sequence to get there
+        tracemalloc.start()
+        try:
+            assert gf._smallest_irreducible(1000003, 2) == [1, 0, 1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_large_prime_degree_12(self):
         # trial division would try about 101^6 divisors per candidate
         start = time.perf_counter()
@@ -109,6 +123,165 @@ class TestFieldArithmetic:
         for c in range(3):
             a = F.element([c])
             assert F.frobenius(a) == a
+
+
+class Reference:
+    """Arithmetic on F's element codes straight from _poly_mul and _poly_mod,
+    with no tables, and matrix products by the naive triple loop: the oracle
+    for both of FqField's paths and for the mat_mul kernel."""
+
+    def __init__(self, F):
+        self.p, self.modulus = F.p, F.modulus
+        self.weights = [F.p**i for i in range(F.e)]
+        self.digits = [[a // w % F.p for w in self.weights] for a in range(F.order)]
+
+    def code(self, coeffs):
+        return sum(c * w for c, w in zip(coeffs, self.weights))
+
+    def add(self, a, b):
+        pairs = zip(self.digits[a], self.digits[b])
+        return self.code([(x + y) % self.p for x, y in pairs])
+
+    def neg(self, a):
+        return self.code([-x % self.p for x in self.digits[a]])
+
+    def mul(self, a, b):
+        prod = gf._poly_mul(self.digits[a], self.digits[b], self.p)
+        return self.code(gf._poly_mod(prod, self.modulus, self.p))
+
+    def mat_mul(self, A, B):
+        n = len(A)
+
+        def entry(i, j):
+            terms = [self.mul(A[i][k], B[k][j]) for k in range(n)]
+            return functools.reduce(self.add, terms, 0)
+
+        return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+SMALL_FIELDS = [
+    (p, e) for p in range(2, 257) if is_prime(p) for e in range(1, 9) if p**e <= 256
+]
+
+
+class TestArithmeticOracle:
+    @pytest.mark.parametrize("p, e", SMALL_FIELDS)
+    def test_exhaustive(self, p, e):
+        F = gf.field_make(p, e)
+        ref = Reference(F)
+        for a in range(F.order):
+            assert F.neg(a) == ref.neg(a)
+            for b in range(a, F.order):  # and each pair the other way round
+                assert F.add(a, b) == F.add(b, a) == ref.add(a, b)
+                assert F.mul(a, b) == F.mul(b, a) == ref.mul(a, b)
+
+    @pytest.mark.parametrize("p, e", [(3, 6), (2, 12)])
+    def test_sampled(self, p, e):
+        F = gf.field_make(p, e)
+        ref = Reference(F)
+        rng = random.Random(p * 100 + e)
+        for _ in range(20_000):
+            a, b = rng.randrange(F.order), rng.randrange(F.order)
+            assert F.add(a, b) == ref.add(a, b)
+            assert F.mul(a, b) == ref.mul(a, b)
+            assert F.neg(a) == ref.neg(a)
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (3, 5), (101, 2)])
+    def test_pow_is_repeated_mul(self, p, e):
+        F = gf.field_make(p, e)
+        rng = random.Random(p + e)
+        for a in [0, 1, *(rng.randrange(F.order) for _ in range(5))]:
+            expected = F.one
+            for n in range(34):
+                assert F.pow(a, n) == expected
+                expected = F.mul(expected, a)
+
+
+def _test_matrices(F, n, rng):
+    """Pairs (A, B) of n x n matrices: dense random ones, a zero row, the
+    identity on either side, the zero matrix, and dot products with a row of
+    equal terms or of a term and its negative, whose partial sums reach 0
+    part way through (at p equal terms, or at the second term)."""
+    def rand():
+        return [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)]
+
+    c, d = rng.randrange(1, F.order), rng.randrange(1, F.order)
+    I = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero_row = rand()
+    zero_row[rng.randrange(n)] = [0] * n
+    cancel = rand()
+    cancel[0] = [c] * n
+    cancel[-1] = [c if j % 2 == 0 else F.neg(c) for j in range(n)]
+    const = [[d] * n for _ in range(n)]
+    pairs = [(rand(), rand()) for _ in range(3)]
+    pairs += [(zero_row, rand()), (rand(), zero_row), (I, rand()), (rand(), I)]
+    pairs += [([[0] * n] * n, rand()), (cancel, const), (cancel, cancel)]
+    return [(gf.mat_from_lists(F, A), gf.mat_from_lists(F, B)) for A, B in pairs]
+
+
+class TestMatricesOracle:
+    # (101, 2) is above the table cap: the polynomial path
+    @pytest.mark.parametrize(
+        "p, e", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 5), (2, 8), (101, 2)]
+    )
+    def test_mat_mul(self, p, e):
+        F = gf.field_make(p, e)
+        ref = Reference(F)
+        rng = random.Random(p * 10 + e)
+        for n in range(1, 7):
+            for A, B in _test_matrices(F, n, rng):
+                assert gf.mat_mul(A, B).entries == ref.mat_mul(A.entries, B.entries)
+
+    @pytest.mark.parametrize("p, e", [(2, 3), (3, 2), (3, 5), (101, 2)])
+    def test_mat_pow(self, p, e):
+        F = gf.field_make(p, e)
+        ref = Reference(F)
+        rng = random.Random(p * 10 + e)
+        for n in range(1, 7):
+            for A, _ in _test_matrices(F, n, rng)[::3]:
+                expected = gf.mat_identity(F, n).entries
+                for k in range(10):
+                    assert gf.mat_pow(A, k).entries == expected
+                    expected = ref.mat_mul(expected, A.entries)
+
+    def test_mat_pow_product_count(self, monkeypatch):
+        # floor(log2 n) squarings and popcount(n) - 1 further products, each
+        # through the module-level mat_mul, where the benchmark tracer hooks
+        F = gf.field_make(3, 2)
+        A = gf.random_matrix(F, 3, random.Random(5))
+        mat_mul, calls = gf.mat_mul, []
+
+        def counted(X, Y):
+            calls.append(1)
+            return mat_mul(X, Y)
+
+        monkeypatch.setattr(gf, "mat_mul", counted)
+        expected = gf.mat_identity(F, 3)
+        for n in range(34):
+            calls.clear()
+            assert gf.mat_pow(A, n) == expected
+            assert len(calls) == max(0, n.bit_length() - 1 + bin(n).count("1") - 1)
+            expected = mat_mul(expected, A)
+
+
+class TestTableCap:
+    def test_largest_table_field_builds_fast(self):
+        start = time.perf_counter()
+        F = gf.field_make(2, 12)
+        assert time.perf_counter() - start < 1
+        assert F.order == gf._TABLE_CAP and F.zech is not None
+
+    def test_above_cap_has_no_tables(self):
+        assert gf.field_make(101, 2).zech is None
+
+    def test_tables(self):
+        for p, e in [(2, 1), (2, 4), (3, 3), (7, 1)]:
+            F = gf.field_make(p, e)
+            m = F.order - 1
+            assert len(F.exp) == len(F.zech) == 2 * m and len(F.log) == F.order
+            assert sorted(F.exp[:m]) == list(range(1, F.order))  # g is primitive
+            assert F.exp[m:] == F.exp[:m]
+            assert all(F.log[F.exp[i]] == i for i in range(m))
 
 
 class TestMatrices:
