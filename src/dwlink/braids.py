@@ -89,7 +89,9 @@ class ComponentData:
     linking: tuple[tuple[int, ...], ...]
 
 
-def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a 0-based permutation, fixed points included, each
+    starting at its smallest point, ordered by that point."""
     seen = [False] * len(perm)
     cycles = []
     for i in range(len(perm)):
@@ -103,14 +105,13 @@ def _cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             seen[j] = True
             j = perm[j]
         cycles.append(tuple(cyc))
-    cycles.sort(key=lambda c: c[0])
     return tuple(cycles)
 
 
 def components(beta: BraidWord) -> ComponentData:
     m = beta.strands
     perm = permutation(beta)
-    cycles = _cycles_of(perm)
+    cycles = cycles_of(perm)
     n = len(cycles)
     comp_of = [0] * m
     for t, cyc in enumerate(cycles):

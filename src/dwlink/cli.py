@@ -55,8 +55,9 @@ def cmd_group_info(args):
             }
             for c in G.classes
         ],
-        "centralizer_orders": {
-            G.names[x]: G.centralizer(x).order for x in G.elements()
+        "centralizer_orders": {  # |Cen(x)| = |G| / |class(x)|
+            G.names[x]: G.order // len(G.classes[G.class_of[x]].members)
+            for x in G.elements()
         },
     }
     _emit(out, args.pretty)

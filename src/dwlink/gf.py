@@ -20,10 +20,13 @@ import random
 from dataclasses import dataclass
 
 from .arith import is_prime, prime_factors
-from .errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime
+from .errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime, ResourceError
 
 DEGREE_CAP = 12
 _TABLE_CAP = 4096  # build Zech-log tables for fields up to this order
+MAX_K = 3  # frobenius_trace_check checks the powers p^k for k = 1..MAX_K
+# bound on dim^3 * trials, the entry products of one matrix product per trial
+FROBCHECK_CAP = 10**7
 
 
 # -- polynomial helpers over F_p (coefficient lists, constant term first) ----
@@ -113,7 +116,6 @@ class FqField:
         self.e = e
         self.order = p**e
         self.modulus = _smallest_irreducible(p, e)
-        self.zero = 0
         self.one = 1 % self.order
 
         # Zech-log tables, or None where the field computes with polynomials
@@ -318,16 +320,20 @@ def random_matrix(field: FqField, dim: int, rng: random.Random) -> FqMatrix:
     )
 
 
-def frobenius_trace_check(
-    field: FqField, dim: int, trials: int, max_k: int = 3, seed: int = 0
-) -> dict:
+def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) -> dict:
     """Check tr(A^p) = tr(A)^p, and the iterated form tr(A^(p^k)) = tr(A)^(p^k)
-    for k up to max_k, on random matrices.  Failures would indicate an
-    arithmetic bug; they are reported, not raised."""
+    for k up to MAX_K, on random matrices.  Failures would indicate an
+    arithmetic bug; they are reported, not raised.  dim^3 * trials above
+    FROBCHECK_CAP raises ResourceError before any matrix is drawn."""
     if dim < 1:
         raise ValueError("matrix dimension must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if dim**3 * trials > FROBCHECK_CAP:
+        raise ResourceError(
+            f"{trials} trials at dimension {dim} exceed the cap of "
+            f"{FROBCHECK_CAP} entry products (dimension^3 * trials)"
+        )
     rng = random.Random(seed)
     p = field.p
     failures = []
@@ -336,7 +342,7 @@ def frobenius_trace_check(
         t = trace(A)
         B = A
         tp = t
-        for k in range(1, max_k + 1):
+        for k in range(1, MAX_K + 1):
             B = mat_pow(B, p)  # B = A^(p^k)
             tp = field.pow(tp, p)  # tp = t^(p^k)
             if trace(B) != tp:
@@ -348,7 +354,7 @@ def frobenius_trace_check(
         "e": field.e,
         "dim": dim,
         "trials": trials,
-        "max_k": max_k,
+        "max_k": MAX_K,
         "failures": failures,
         "ok": not failures,
     }

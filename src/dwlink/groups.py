@@ -5,11 +5,12 @@ ordering is breadth-first discovery order with index 0 the identity; for
 groups built from an explicit table the table order is kept and the identity
 is located; an explicit table must be a Latin square that passes Light's
 associativity test, which is exact.  Conjugation orbits are split by one
-routine, FiniteGroup.orbits.  Conjugacy classes and centralizers are
-computed at construction.  The partition of each centralizer Cen(x) into
-its own conjugacy classes is built lazily, once per x, as a table from each
-member to its class representative (FiniteGroup.cen_class_reps); the
-counting and congruence loops look classes up there.
+routine, FiniteGroup.orbits.  Conjugacy classes are computed at
+construction; a centralizer Cen(x) is scanned from the table when asked
+for.  The partition of Cen(x) into its own conjugacy classes is built
+lazily, once per x, as a table from each member to its class representative
+(FiniteGroup.cen_class_reps); the counting and congruence loops look
+classes up there, and its keys are Cen(x).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import eq, itemgetter
 
+from .braids import cycles_of
 from .errors import (
     BadPermutation,
     BadShape,
@@ -39,16 +41,6 @@ class ConjClass:
 
     representative: int
     members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    members: tuple[int, ...]
-    parent: "FiniteGroup"
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
 
 
 class FiniteGroup:
@@ -95,7 +87,6 @@ class FiniteGroup:
         for ci, cl in enumerate(self.classes):
             for g in cl.members:
                 self.class_of[g] = ci
-        self.centralizers = tuple(self._centralizer(x) for x in range(n))
         # x -> cen_class_reps(x), filled on first use.  Declared here rather
         # than added to the instance later, which slows every attribute
         # lookup on the group (every enumeration and longitude reads several).
@@ -211,14 +202,11 @@ class FiniteGroup:
         orbits = self.orbits(G, G).items()
         return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)
 
-    def _centralizer(self, x: int) -> Subgroup:
-        # g commutes with x where column x and row x of the table agree
+    def centralizer(self, x: int) -> tuple[int, ...]:
+        """The members of Cen(x), ascending, scanned from the table on each
+        call: g commutes with x where column x and row x agree."""
         column = map(itemgetter(x), self.table)
-        members = compress(range(self.order), map(eq, column, self.table[x]))
-        return Subgroup(tuple(members), self)
-
-    def centralizer(self, x: int) -> Subgroup:
-        return self.centralizers[x]
+        return tuple(compress(range(self.order), map(eq, column, self.table[x])))
 
     def cen_class_reps(self, x: int) -> dict[int, int]:
         """Map every h in Cen(x) to the smallest member of its conjugacy
@@ -226,18 +214,18 @@ class FiniteGroup:
         x; callers must not modify it."""
         reps = self._cen_reps.get(x)
         if reps is None:
-            members = self.centralizers[x].members
+            members = self.centralizer(x)
             orbits = self.orbits(members, members).items()
             reps = {c: r for r, orbit in orbits for c in orbit}
             self._cen_reps[x] = reps
         return reps
 
-    def class_in_subgroup(self, H: Subgroup, h: int) -> ConjClass:
-        """Orbit of h under conjugation by members of H only.  The reference
-        that cen_class_reps is tested against."""
-        if h not in set(H.members):
+    def class_in_subgroup(self, H: tuple[int, ...], h: int) -> ConjClass:
+        """Orbit of h under conjugation by the members H of a subgroup only.
+        The reference that cen_class_reps is tested against."""
+        if h not in H:
             raise NotInSubgroup(f"element {h} is not in the subgroup")
-        members = sorted({self.conj(g, h) for g in H.members})
+        members = sorted({self.conj(g, h) for g in H})
         return ConjClass(members[0], tuple(members))
 
     def __repr__(self):
@@ -269,28 +257,20 @@ def _cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
 
 def _perm_name(perm: tuple[int, ...]) -> str:
     """Cycle-notation display string, identity shown as 'e'."""
-    seen = [False] * len(perm)
-    parts = []
-    for i in range(len(perm)):
-        if seen[i] or perm[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) if parts else "e"
+    parts = [
+        "(" + " ".join(str(x + 1) for x in cyc) + ")"
+        for cyc in cycles_of(perm)
+        if len(cyc) > 1
+    ]
+    return "".join(parts) or "e"
 
 
 def from_permutation_generators(
-    degree: int, generators, name: str = "perm", cap: int = ORDER_CAP
+    degree: int, generators, name: str = "perm"
 ) -> FiniteGroup:
     """Close the generators under composition (breadth-first) and build the
-    Cayley table of the generated group.  Element 0 is the identity."""
+    Cayley table of the generated group.  Element 0 is the identity.  More
+    than ORDER_CAP elements raise GroupTooLarge."""
     if degree < 1:
         raise BadPermutation("degree must be positive")
     gens = [_cycles_to_perm(degree, g) for g in generators]
@@ -304,9 +284,9 @@ def from_permutation_generators(
             for g in gens:
                 q = tuple(p[g[i]] for i in range(degree))
                 if q not in index:
-                    if len(elems) >= cap:
+                    if len(elems) >= ORDER_CAP:
                         raise GroupTooLarge(
-                            f"generated group exceeds cap of {cap} elements"
+                            f"generated group exceeds cap of {ORDER_CAP} elements"
                         )
                     index[q] = len(elems)
                     elems.append(q)

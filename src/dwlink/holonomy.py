@@ -32,9 +32,6 @@ from .errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
 from .groups import FiniteGroup
 
 SEARCH_CAP = 10**9
-# letters in a braid power beta^q, which congruence.verify walks once per
-# candidate tuple
-WORD_CAP = 10**6
 
 
 def _act(letters, labels, mul, inv):
@@ -166,9 +163,9 @@ def enumerate_homs(
     if x_constraint is None:
         H = G.elements()
     else:
-        H = set.intersection(
-            *(set(G.centralizers[x].members) for x in x_constraint)
-        )
+        # the keys of cen_class_reps(x) are Cen(x); the callers that
+        # prescribe x look up its classes there anyway
+        H = set.intersection(*(set(G.cen_class_reps(x)) for x in x_constraint))
     p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
     trans = G.orbits(cands[p0], H)
     cands[p0] = list(trans)

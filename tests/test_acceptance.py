@@ -5,7 +5,6 @@ lines as they complete.
 """
 
 import itertools
-import json
 import random
 import time
 
@@ -200,7 +199,7 @@ def test_criterion_7_frobenius_trace():
     bad = []
     for p, e, dim in itertools.product((2, 3, 5), (1, 2, 3), (2, 3, 4, 5)):
         field = gf.field_make(p, e)
-        rep = gf.frobenius_trace_check(field, dim, 1000, max_k=3, seed=p * 100 + e * 10 + dim)
+        rep = gf.frobenius_trace_check(field, dim, 1000, seed=p * 100 + e * 10 + dim)
         if not rep["ok"]:
             bad.append((p, e, dim))
     report(
@@ -216,8 +215,6 @@ def test_criterion_8_thread_determinism(capsys):
     out1 = capsys.readouterr().out
     code8 = main(args + ["--threads", "8"])
     out8 = capsys.readouterr().out
-    d1, d8 = json.loads(out1), json.loads(out8)
-    d1.pop("elapsed"), d8.pop("elapsed")
-    ok = code1 == code8 == 0 and json.dumps(d1) == json.dumps(d8)
+    ok = code1 == code8 == 0 and out1 == out8
     with capsys.disabled():
         report("criterion 8 (thread-count-invariant verify reports)", ok)

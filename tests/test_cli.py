@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dwlink import congruence, groups
+from dwlink import arith, congruence, gf, groups
 from dwlink.cli import main
 
 
@@ -19,6 +19,18 @@ class TestGroupInfo:
         doc = json.loads(out)
         assert doc["order"] == 6
         assert sorted(c["size"] for c in doc["classes"]) == [1, 2, 3]
+
+    @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5", "quaternion:8"])
+    def test_centralizer_orders_without_centralizers(self, capsys, monkeypatch, spec):
+        G = groups.from_group_spec(spec)
+        expect = {G.names[x]: len(G.centralizer(x)) for x in G.elements()}
+
+        def no_scan(self, x):
+            raise AssertionError("group-info scanned a centralizer")
+
+        monkeypatch.setattr(groups.FiniteGroup, "centralizer", no_scan)
+        code, out = run(capsys, "group-info", "--group", spec)
+        assert code == 0 and json.loads(out)["centralizer_orders"] == expect
 
     def test_bad_spec(self, capsys):
         assert main(["group-info", "--group", "nope:3"]) == 2
@@ -202,10 +214,7 @@ class TestVerify:
                 "--group", "quaternion:8"]
         _, out1 = run(capsys, *args, "--threads", "1")
         _, out8 = run(capsys, *args, "--threads", "8")
-        # elapsed differs between runs; everything else must be byte-identical
-        d1, d8 = json.loads(out1), json.loads(out8)
-        d1.pop("elapsed"), d8.pop("elapsed")
-        assert json.dumps(d1) == json.dumps(d8)
+        assert out1 == out8
 
 
 class TestSweep:
@@ -253,6 +262,23 @@ class TestFrobcheck:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_dimension_over_work_cap_exit3(self, capsys, monkeypatch):
+        # 10^15 entry products per trial: refused before any matrix is drawn
+        def no_draw(field, dim, rng):
+            raise AssertionError("matrix drawn past the work cap")
+
+        monkeypatch.setattr(gf, "random_matrix", no_draw)
+        assert main(["frobcheck", "-p", "3", "-e", "5", "-n", "100000"]) == 3
+        assert "entry products" in capsys.readouterr().err
+
+    def test_prime_above_miller_rabin_bound_exit3(self, capsys):
+        p = str(arith._MR_BOUND)  # a strong pseudoprime to all 13 bases
+        assert main(["frobcheck", "-p", p, "-n", "2", "--trials", "1"]) == 3
+        args = ["verify", "--braid", "2: 1", "-k", "1", "--group", "cyclic:2"]
+        assert main(args + ["-p", p]) == 3
+        # a witness proves a larger n composite: exit 2, as below the bound
+        assert main(args + ["-p", str(10**30 + 1)]) == 2
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_dimension_below_one_exit2(self, capsys, n):
         assert main(["frobcheck", "-p", "2", "-n", n, "--trials", "3"]) == 2
@@ -264,3 +290,12 @@ class TestDeterminism:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+    def test_sweep_byte_stable_without_timings(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(
+            json.dumps([{"braid": "2: 1", "p": 3, "k": 1, "group": "quaternion:8"}])
+        )
+        _, out1 = run(capsys, "sweep", "--catalog", str(path))
+        _, out2 = run(capsys, "sweep", "--catalog", str(path))
+        assert out1 == out2 and "elapsed" not in out1

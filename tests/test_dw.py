@@ -11,7 +11,7 @@ class TestDwExact:
         G = groups.symmetric(3)
         b = braids.parse_braid("2: 1")
         for x in G.elements():
-            for h in G.centralizer(x).members:
+            for h in G.centralizer(x):
                 expect = 1 if h == G.id else 0
                 assert dw.dw_exact(b, G, (x,), (h,)) == expect
 
@@ -41,7 +41,7 @@ class TestDwExact:
         b = braids.parse_braid("2: 1 1 1")
         total = 0
         for x in G.elements():
-            for h in G.centralizer(x).members:
+            for h in G.centralizer(x):
                 total += dw.dw_exact(b, G, (x,), (h,))
         assert total == holonomy.count_homs(b, G)
 
@@ -77,7 +77,7 @@ class TestDwClass:
         x = G.element_index("(1 2)")
         cen = G.centralizer(x)
         reps = sorted(
-            {G.class_in_subgroup(cen, h).representative for h in cen.members}
+            {G.class_in_subgroup(cen, h).representative for h in cen}
         )
         total = sum(dw.dw_class(b, G, (x,), (h,)) for h in reps)
         assert total == len(holonomy.enumerate_homs(b, G, x_constraint=(x,)))
@@ -87,7 +87,7 @@ class TestDwClass:
         b = braids.parse_braid("2: 1 1 1")
         for x in (c.representative for c in G.classes):
             cen = G.centralizer(x)
-            for h in cen.members:
+            for h in cen:
                 cls = G.class_in_subgroup(cen, h)
                 agg = sum(
                     dw.dw_exact(b, G, (x,), (hp,)) for hp in cls.members

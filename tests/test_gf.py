@@ -8,7 +8,13 @@ import pytest
 
 from dwlink import gf
 from dwlink.arith import is_prime
-from dwlink.errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime
+from dwlink.errors import (
+    DegreeTooLarge,
+    DimMismatch,
+    FieldMismatch,
+    NotPrime,
+    ResourceError,
+)
 
 
 class TestFieldConstruction:
@@ -382,6 +388,22 @@ class TestFrobeniusTraceCheck:
         F = gf.field_make(3, 2)
         report = gf.frobenius_trace_check(F, 3, 50)
         assert report["ok"] and report["trials"] == 50
+
+    def test_work_cap_boundary(self, monkeypatch):
+        F = gf.field_make(3, 2)
+        monkeypatch.setattr(gf, "FROBCHECK_CAP", 54)
+        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 3^3 * 2 = 54
+
+        def no_draw(field, dim, rng):
+            raise AssertionError("matrix drawn past the work cap")
+
+        monkeypatch.setattr(gf, "random_matrix", no_draw)
+        with pytest.raises(ResourceError):
+            gf.frobenius_trace_check(F, 3, 3)  # 81
+
+    def test_max_k_is_three(self):
+        report = gf.frobenius_trace_check(gf.field_make(2, 1), 2, 1)
+        assert report["max_k"] == gf.MAX_K == 3
 
     @pytest.mark.parametrize("dim", [0, -2])
     def test_dimension_below_one(self, dim):

@@ -190,14 +190,14 @@ class TestOrbitReduction:
             b = random_braid(rng, max_strands=3 if G.order > 8 else 4, max_len=8)
             comp = braids.components(b)
             n = comp.count
-            central = [g for g in G.elements() if G.centralizers[g].order == G.order]
+            central = [g for g in G.elements() if len(G.centralizer(g)) == G.order]
             others = [g for g in G.elements() if g not in central]
             # x central: H = G; x non-central: H a proper subgroup
             for pool_x in (central, others):
                 if not pool_x:  # G abelian
                     continue
                 x = tuple(rng.choice(pool_x) for _ in range(n))
-                H = set.intersection(*(set(G.centralizers[xt].members) for xt in x))
+                H = set.intersection(*(set(G.centralizer(xt)) for xt in x))
                 cands = holonomy._candidate_sets(b, G, comp, x)
                 p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
                 if len(H) == G.order:
@@ -267,7 +267,18 @@ class TestLongitude:
                     assert r.longitude[t] == expect
 
 
+# every built-in group of order at most 8
+MARKOV_GROUPS = (
+    [groups.cyclic(n) for n in range(1, 9)]
+    + [groups.dihedral(n) for n in range(1, 5)]
+    + [groups.symmetric(3), groups.quaternion8()]
+)
+
+
 class TestMarkovInvariance:
+    """The closures of conjugate braids, and of a braid and its
+    stabilization, are the same link, so their hom counts agree."""
+
     def test_conjugation_and_stabilization(self):
         rng = random.Random(16)
         pool = [groups.cyclic(5), groups.symmetric(3), groups.dihedral(4)]
@@ -309,3 +320,18 @@ class TestMarkovInvariance:
                 for sign in (1, -1):
                     stab = braids.BraidWord(m + 1, b.letters + (sign * m,))
                     assert dw.dw_table(stab, G, "all").exact == base
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_conjugation_and_stabilization_property(self, data):
+        G = data.draw(st.sampled_from(MARKOV_GROUPS))
+        m = data.draw(st.integers(2, 3))
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        w = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=6)))
+        base = holonomy.count_homs(braids.BraidWord(m, w), G)
+        s = data.draw(st.sampled_from(alphabet))
+        conjugated = braids.BraidWord(m, (s,) + w + (-s,))
+        assert holonomy.count_homs(conjugated, G) == base
+        sign = data.draw(st.sampled_from((1, -1)))
+        stabilized = braids.BraidWord(m + 1, w + (sign * m,))
+        assert holonomy.count_homs(stabilized, G) == base
