@@ -141,10 +141,15 @@ def cmd_sweep(args):
         raise InputError("catalog must be a JSON array")
     summary = congruence.sweep(catalog)
     _emit(summary.to_json_obj(), args.pretty)
+    # the codes verify uses; a violation outranks an input error, which
+    # outranks a resource limit
     if summary.any_violation:
         return EXIT_VIOLATION
-    if summary.any_failure:
+    statuses = {e.status for e in summary.entries}
+    if statuses & {"precondition-failed", "error"}:
         return EXIT_INPUT
+    if "resource-limit" in statuses:
+        return EXIT_RESOURCE
     return EXIT_OK
 
 

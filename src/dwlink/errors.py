@@ -79,10 +79,6 @@ class ComponentMismatch(InputError):
     pass
 
 
-class WordTooLong(ResourceError):
-    pass
-
-
 # finite fields
 class DegreeTooLarge(InputError):
     pass

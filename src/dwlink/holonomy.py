@@ -4,8 +4,9 @@ Homomorphisms pi_1(beta^) -> G correspond to m-tuples of G fixed by the
 braid action on G^m.  A tuple labels the meridians at the bottom of the
 braid; the generator for letter +i sends (a, b) at the two crossing
 positions to (a b a^-1, a), its inverse sends (a, b) to (b, b^-1 a b).
-That action is written once, in _act; the fixed-point scan, artin_action
-and longitude_image all move labels with it.  Per-component meridian and
+That action is written once, in _act; the fixed-point scans, artin_action
+and the strand-holonomy pass _holonomies (behind longitude_image and
+periodic_scan) all move labels with it.  Per-component meridian and
 longitude images are derived from a fixed tuple.
 
 The scan is reduced by conjugation.  Let H be the elements commuting with
@@ -19,7 +20,8 @@ transversal of H / Cen_H(r)).  Then every fixed tuple b is h a h^-1 for
 exactly one pair: a is a fixed tuple with a[p0] = r, the smallest member of
 the orbit of b[p0], and h is the transversal element for b[p0].
 enumerate_homs scans only such a and expands each one by its transversal;
-the result is exact, with no duplicates to remove.
+the result is exact, with no duplicates to remove.  periodic_scan scans the
+same representatives for both closures that congruence.verify compares.
 """
 
 from __future__ import annotations
@@ -67,6 +69,42 @@ class HomRecord:
     longitude: tuple[int, ...]
 
 
+def _holonomies(letters, labels, G: FiniteGroup) -> list[int]:
+    """Move the labels in the list labels up through letters, in place, as
+    _act does, and return the strand holonomies: hol[s] is the product of
+    the labels of the over-strands (to the sign of the letter) that the
+    strand entering at bottom position s passes under."""
+    mul, inv = G.table, G.inv
+    hol = [G.id] * len(labels)
+    at = list(range(len(labels)))  # at[p] = bottom position of the strand at p
+    for l in letters:
+        i = abs(l) - 1
+        # with mul(a, b) meaning "b first", traversal order puts new
+        # contributions on the left
+        if l > 0:
+            # strand at position i passes over
+            s = at[i + 1]
+            hol[s] = mul[labels[i]][hol[s]]
+        else:
+            # strand at position i+1 passes over
+            s = at[i]
+            hol[s] = mul[inv[labels[i + 1]]][hol[s]]
+        at[i], at[i + 1] = at[i + 1], at[i]
+        _act((l,), labels, mul, inv)
+    return hol
+
+
+def _cycle_product(hols, cycle, mul, one) -> int:
+    """Left-multiply hols[i mod L][cycle[i mod c]] over i < L c, where L =
+    len(hols) and c = len(cycle): the closure arcs join the strands in the
+    order of the cycle, and copy i mod L of the word carries the labels
+    hols[i mod L] was taken at."""
+    acc = one
+    for i in range(len(hols) * len(cycle)):
+        acc = mul[hols[i % len(hols)][cycle[i % len(cycle)]]][acc]
+    return acc
+
+
 def longitude_image(
     beta: BraidWord,
     a,
@@ -88,32 +126,10 @@ def longitude_image(
         raise NotAFixedPoint(f"{a} is not fixed by the braid action")
     if comp is None:
         comp = components(beta)
-    mul, inv = G.table, G.inv
-
-    labels = list(a)
-    hol = [G.id] * beta.strands
-    at = list(range(beta.strands))  # at[p] = bottom position of the strand at p
-    for l in beta.letters:
-        i = abs(l) - 1
-        # with mul(a, b) meaning "b first", traversal order puts new
-        # contributions on the left
-        if l > 0:
-            # strand at position i passes over
-            s = at[i + 1]
-            hol[s] = mul[labels[i]][hol[s]]
-        else:
-            # strand at position i+1 passes over
-            s = at[i]
-            hol[s] = mul[inv[labels[i + 1]]][hol[s]]
-        at[i], at[i + 1] = at[i + 1], at[i]
-        _act((l,), labels, mul, inv)
-
-    # the closure arcs join the strands in the order of the cycle
-    acc = G.id
-    for p in comp.cycles[t]:
-        acc = mul[hol[p]][acc]
+    hol = _holonomies(beta.letters, list(a), G)
+    acc = _cycle_product([hol], comp.cycles[t], G.table, G.id)
     meridian = a[comp.basepoints[t]]
-    return mul[acc][G.power(meridian, -comp.self_writhe[t])]
+    return G.table[acc][G.power(meridian, -comp.self_writhe[t])]
 
 
 def _candidate_sets(beta, G, comp, x_constraint):
@@ -134,6 +150,38 @@ def _candidate_sets(beta, G, comp, x_constraint):
     return cands
 
 
+def check_search_space(
+    G: FiniteGroup, comp: ComponentData, x_constraint=None, allow_large=False
+) -> None:
+    """Raise SearchTooLarge when the unreduced candidate space of
+    _candidate_sets exceeds SEARCH_CAP, unless allow_large."""
+    if x_constraint is None:
+        size = G.order ** sum(map(len, comp.cycles))
+    else:
+        size = 1
+        for xt, cyc in zip(x_constraint, comp.cycles):
+            size *= len(G.classes[G.class_of[xt]].members) ** (len(cyc) - 1)
+    if size > SEARCH_CAP and not allow_large:
+        raise SearchTooLarge(
+            f"search space of {size} candidates exceeds cap {SEARCH_CAP}"
+        )
+
+
+def _reduced_candidates(beta, G, comp, x_constraint, allow_large=False):
+    """The candidate sets with position p0 cut to one representative per
+    H-orbit, p0 and the orbit transversals (see the module docstring)."""
+    cands = _candidate_sets(beta, G, comp, x_constraint)
+    check_search_space(G, comp, x_constraint, allow_large)
+    if x_constraint is None:
+        H = G.elements()
+    else:
+        H = set.intersection(*(set(G.centralizer(x)) for x in x_constraint))
+    p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
+    trans = G.orbits(cands[p0], H)
+    cands[p0] = list(trans)
+    return cands, p0, trans
+
+
 def enumerate_homs(
     beta: BraidWord,
     G: FiniteGroup,
@@ -150,25 +198,7 @@ def enumerate_homs(
     H = G this divides the scan by about |G| / #classes.  SEARCH_CAP bounds
     the unreduced candidate space."""
     comp = components(beta)
-    cands = _candidate_sets(beta, G, comp, x_constraint)
-
-    size = 1
-    for c in cands:
-        size *= len(c)
-    if size > SEARCH_CAP and not allow_large:
-        raise SearchTooLarge(
-            f"search space of {size} candidates exceeds cap {SEARCH_CAP}"
-        )
-
-    if x_constraint is None:
-        H = G.elements()
-    else:
-        # the keys of cen_class_reps(x) are Cen(x); the callers that
-        # prescribe x look up its classes there anyway
-        H = set.intersection(*(set(G.cen_class_reps(x)) for x in x_constraint))
-    p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
-    trans = G.orbits(cands[p0], H)
-    cands[p0] = list(trans)
+    cands, p0, trans = _reduced_candidates(beta, G, comp, x_constraint, allow_large)
 
     letters, mul, inv = beta.letters, G.table, G.inv
     fixed = sorted(
@@ -191,3 +221,60 @@ def enumerate_homs(
 
 def count_homs(beta: BraidWord, G: FiniteGroup, **kw) -> int:
     return len(enumerate_homs(beta, G, **kw))
+
+
+def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
+    """Boundary data of both closures in verify from one scan of beta's
+    candidates at the meridian tuple x, for a prime p whose powers are
+    coprime to every cycle length of beta.
+
+    Write f for beta's action on tuples.  The action of beta^(p^k) is
+    f^(p^k), its cycles have the member sets of beta's (so the candidate
+    sets, p0 and the transversals are the same), and conjugation by H
+    commutes with f.  So for each scanned representative a this walks the
+    f-orbit a, f a, f^2 a, ... until it returns to a, after L steps, or
+    until p^k steps have passed.  a is fixed by f^(p^k) exactly when L =
+    p^j with j <= k, and by f exactly when L = 1.  Yields (weight, big,
+    small) for each a fixed by f^(p^k): weight is the size of a's
+    H-orbit, big the longitude images of the closure of beta^(p^k) at a,
+    and small those of the closure of beta, or None when L > 1.
+
+    The longitude of beta^(p^k) (see longitude_image) left-multiplies the
+    holonomies of the strands of component t, of cycle c_t of length c,
+    over the p^k copies of beta: copy i carries the labels f^i a and its
+    strand leaves bottom position c_t[i mod c], so piece i is
+    hol[f^(i mod L) a][c_t[i mod c]] for i < p^k c.  These pieces repeat
+    with period L c, since L is a power of p and c is coprime to p.  So
+    the product is P^(p^(k-j)), where P is the product of the first L c
+    pieces, and the 0-framing subtracts p^k times the self-writhe w_t of
+    the component: the longitude is P^(p^(k-j)) x_t^(-p^k w_t).  Both
+    exponents are taken mod |G|, and p^k itself is never formed."""
+    comp = components(beta)
+    cands, p0, trans = _reduced_candidates(beta, G, comp, x)
+    letters, mul, inv, order = beta.letters, G.table, G.inv, G.order
+    # an f-orbit lies in G^m, so no walk needs more steps than |G|^m; for a
+    # k with p^k > 2^k > |G|^m this bound also spares forming p^k
+    span = order**beta.strands
+    limit = span if k >= span.bit_length() else min(p**k, span)
+    q = pow(p, k, order)
+    frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
+    frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
+    for a in itertools.product(*cands):
+        start, b = list(a), list(a)
+        for L in range(1, limit + 1):
+            if _act(letters, b, mul, inv) == start:
+                break
+        else:
+            continue
+        j, r = 0, L
+        while r % p == 0:
+            j, r = j + 1, r // p
+        if r != 1:
+            continue
+        # b is back at a: L holonomy passes take it once around its orbit
+        hols = [_holonomies(letters, b, G) for _ in range(L)]
+        P = [_cycle_product(hols, cyc, mul, G.id) for cyc in comp.cycles]
+        e = pow(p, k - j, order)
+        big = tuple(mul[G.power(g, e)][f] for g, f in zip(P, frame_big))
+        small = tuple(mul[g][f] for g, f in zip(P, frame)) if L == 1 else None
+        yield len(trans[a[p0]]), big, small

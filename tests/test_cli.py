@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dwlink import arith, congruence, gf, groups
+from dwlink import arith, braids, gf, groups
 from dwlink.cli import main
 
 
@@ -178,23 +178,19 @@ class TestVerify:
         )
         assert code == 2
 
-    def test_power_too_long_exit3(self, capsys):
-        # 3^40 copies of the word: refused by the word cap before allocating
-        code = main(
-            ["verify", "--braid", "2: 1", "-p", "3", "-k", "40", "--group", "cyclic:2"]
-        )
-        assert code == 3
-
-    def test_power_over_word_cap_exit3(self, capsys, monkeypatch):
-        # 3^20 letters: refused before the power is built or walked
+    @pytest.mark.parametrize("k", ["40", "20"])
+    def test_huge_power_exit0(self, capsys, monkeypatch, k):
+        # 3^k copies of the word are never built or walked: the result is
+        # that of k = 1
         def no_power(beta, n):
-            raise AssertionError("braid power built past the word cap")
+            raise AssertionError("braid power built")
 
-        monkeypatch.setattr(congruence, "braid_power", no_power)
-        code = main(
-            ["verify", "--braid", "2: 1", "-p", "3", "-k", "20", "--group", "cyclic:2"]
-        )
-        assert code == 3
+        monkeypatch.setattr(braids, "braid_power", no_power)
+        args = ["verify", "--braid", "2: 1", "-p", "3", "--group", "cyclic:2"]
+        code, out = run(capsys, *args, "-k", k)
+        _, out1 = run(capsys, *args, "-k", "1")
+        assert code == 0
+        assert json.loads(out)["cases_checked"] == json.loads(out1)["cases_checked"]
 
     def test_empty_word_huge_k_exit0(self, capsys, monkeypatch):
         # the unknot against itself: no braid power is built, and p^k is
@@ -202,7 +198,7 @@ class TestVerify:
         def no_power(beta, n):
             raise AssertionError("braid power built for an empty word")
 
-        monkeypatch.setattr(congruence, "braid_power", no_power)
+        monkeypatch.setattr(braids, "braid_power", no_power)
         code, out = run(
             capsys, "verify", "--braid", "1:", "-p", "3", "-k", "3000000",
             "--group", "cyclic:2",
@@ -242,6 +238,26 @@ class TestSweep:
 
     def test_missing_file(self, capsys):
         assert main(["sweep", "--catalog", "/nonexistent.json"]) == 2
+
+    def test_resource_limit_exit3(self, capsys, tmp_path):
+        # symmetric:9 is over the group order cap; verify exits 3 on it
+        over_cap = {"braid": "2: 1", "p": 3, "k": 1, "group": "symmetric:9"}
+        ok = {"braid": "2: 1", "p": 3, "k": 1, "group": "cyclic:2"}
+        bad = {"braid": "2: 1", "p": 2, "k": 1, "group": "cyclic:3"}
+        violation = {"braid": "3: 1 1 -2", "p": 3, "k": 1, "group": "dihedral:5"}
+        path = tmp_path / "catalog.json"
+
+        def sweep(*entries):
+            path.write_text(json.dumps(list(entries)))
+            code, out = run(capsys, "sweep", "--catalog", str(path))
+            return code, [e["status"] for e in json.loads(out)["entries"]]
+
+        assert sweep(ok, over_cap) == (3, ["ok", "resource-limit"])
+        assert sweep(over_cap, bad)[0] == 2
+        assert sweep(over_cap, violation) == (1, ["resource-limit", "violations"])
+        code = main(["verify", "--braid", "2: 1", "-p", "3", "-k", "1",
+                     "--group", "symmetric:9"])
+        assert code == 3
 
 
 class TestFrobcheck:

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dwlink import braids, congruence, dw, groups, holonomy
 from dwlink.errors import (
@@ -9,8 +10,10 @@ from dwlink.errors import (
     GroupOrderDivisible,
     InputError,
     NotPrime,
-    WordTooLong,
+    SearchTooLarge,
 )
+
+from test_acceptance import F21, THEOREM_CATALOG
 
 
 def make(braid, p, k, gspec):
@@ -42,11 +45,13 @@ class TestPreconditions:
 
 
 class TestVerify:
-    def test_word_cap_boundary(self, monkeypatch):
-        monkeypatch.setattr(congruence, "WORD_CAP", 9)
-        assert congruence.verify(make("2: 1", 3, 2, "cyclic:2")).ok  # 9 letters
-        with pytest.raises(WordTooLong):
-            congruence.verify(make("2: 1", 3, 3, "cyclic:2"))  # 27 letters
+    def test_power_length_is_not_capped(self):
+        # the braid power is never walked, so no k is refused for its length
+        cases = {
+            k: congruence.verify(make("2: 1", 3, k, "cyclic:2")).cases_checked
+            for k in (1, 2, 3, 40)
+        }
+        assert set(cases.values()) == {cases[1]}
 
     @pytest.mark.parametrize(
         "braid, gspec", [("1:", "cyclic:2"), ("2:", "symmetric:3")]
@@ -56,9 +61,21 @@ class TestVerify:
         def no_power(beta, n):
             raise AssertionError("braid power built for an empty word")
 
-        monkeypatch.setattr(congruence, "braid_power", no_power)
+        monkeypatch.setattr(braids, "braid_power", no_power)
         report = congruence.verify(make(braid, 5, 10**7, gspec))
         assert report.ok and report.cases_checked > 0
+
+    def test_search_cap_checked_before_any_scan(self, monkeypatch):
+        # the identity's search space passes; a later x's does not
+        def no_scan(*args):
+            raise AssertionError("an x was scanned before every cap check")
+
+        monkeypatch.setattr(congruence, "periodic_scan", no_scan)
+        with pytest.raises(SearchTooLarge, match="of 4586471424 candidates"):
+            congruence.verify(make("8: 1 2 3 4 5 6 7", 7, 1, "symmetric:5"))
+        monkeypatch.setattr(dw, "enumerate_homs", no_scan)
+        with pytest.raises(SearchTooLarge, match="of 4586471424 candidates"):
+            dw.dw_table(braids.parse_braid("8: 1 2 3 4 5 6 7"), groups.symmetric(5))
 
     def test_trefoil_vs_unknot_z2(self):
         report = congruence.verify(make("2: 1", 3, 1, "cyclic:2"))
@@ -237,6 +254,119 @@ class TestDeckActionBuckets:
         # records leave their meridian bucket, and for some no single
         # element conjugates both components at once
         assert moved and split
+
+
+def _letter_walk_counts(inst, x):
+    """The class-level counts at x from the braid power itself: every
+    candidate walks all p^k copies of the word.  The reference that
+    congruence.class_counts is tested against."""
+    beta, G = inst.beta, inst.group
+    big = braids.braid_power(beta, inst.p**inst.k)
+    lhs = dw.class_buckets(G, x, holonomy.enumerate_homs(big, G, x_constraint=x))
+    rhs = dw.class_buckets(G, x, holonomy.enumerate_homs(beta, G, x_constraint=x))
+    return lhs, rhs
+
+
+def _long_orbits(inst, x):
+    """Scanned representatives on beta-orbits of length > 1."""
+    beta, p, k, G = inst.beta, inst.p, inst.k, inst.group
+    scan = holonomy.periodic_scan(beta, G, x, p, k)
+    return sum(small is None for _, _, small in scan)
+
+
+# the verify argvs of the benchmark workloads verify-classes and
+# verify-periodic, full and quick
+BENCHMARK_INSTANCES = [
+    ("3: 1 1 -2", 7, 1, "symmetric:6"),
+    ("3: 1 1 -2", 7, 1, "symmetric:5"),
+    ("3: 1 2", 7, 4, "symmetric:5"),
+    ("3: 1 2", 5, 2, "symmetric:3"),
+]
+
+# instances whose beta-orbits in Fix(beta^(p^k)) have length p (D5) and
+# p^2 (F21)
+LONG_ORBIT_INSTANCES = [
+    ("3: 1 1 -2", 3, 2, "dihedral:5"),
+    ("4: 2 -1 2 2 1 3 3 3", 2, 3, F21),
+]
+
+# (group, prime not dividing its order); for some braids, D5 with p = 3 and
+# D11 with p = 5 give beta-orbits of length p in the fixed set of beta^p
+PROPERTY_CASES = [
+    (groups.dihedral(5), 3),
+    (groups.dihedral(11), 5),
+    (groups.dihedral(5), 7),
+    (groups.symmetric(4), 5),
+    (groups.quaternion8(), 3),
+    (groups.from_group_spec(F21), 2),
+    (groups.dihedral(4), 3),
+    (groups.symmetric(3), 5),
+]
+
+
+class TestOrbitCensus:
+    """verify's one scan per x against the walk of the braid power."""
+
+    @pytest.mark.parametrize(
+        "braid, p, k, gspec",
+        THEOREM_CATALOG + BENCHMARK_INSTANCES + LONG_ORBIT_INSTANCES,
+    )
+    def test_matches_letter_walk(self, braid, p, k, gspec):
+        inst = make(braid, p, k, gspec)
+        n = braids.components(inst.beta).count
+        for x in dw.x_tuples(inst.group, n, "representatives"):
+            assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, x)
+
+    def test_orbit_length_p_squared(self):
+        # no long orbit of this instance is fixed by beta^2: they have length 4
+        def long_orbits(k):
+            inst = make("4: 2 -1 2 2 1 3 3 3", 2, k, F21)
+            xs = dw.x_tuples(inst.group, 2, "representatives")
+            return sum(_long_orbits(inst, x) for x in xs)
+
+        assert long_orbits(1) == 0 and long_orbits(2) > 0
+
+    def test_matches_letter_walk_property(self):
+        long_orbits = []
+
+        @settings(max_examples=80)
+        @given(data=st.data())
+        @example(data=None)
+        def census_matches(data):
+            if data is None:  # beta-orbits of length 3
+                inst = make("3: 1 1 -2", 3, 2, "dihedral:5")
+            else:
+                G, p = data.draw(st.sampled_from(PROPERTY_CASES))
+                kmax = max(k for k in range(1, 8) if p**k <= 125)
+                k = data.draw(st.integers(1, kmax))
+                m = data.draw(st.integers(2, 4))
+                alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+                letters = data.draw(
+                    st.lists(st.sampled_from(alphabet), min_size=1, max_size=5)
+                )
+                beta = braids.BraidWord(m, tuple(letters))
+                assume(all(len(c) % p for c in braids.components(beta).cycles))
+                inst = congruence.check_preconditions(beta, p, k, G)
+            n = braids.components(inst.beta).count
+            for x in dw.x_tuples(inst.group, n, "representatives"):
+                assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, x)
+                long_orbits.append(_long_orbits(inst, x))
+
+        census_matches()
+        assert sum(long_orbits) > 0
+
+    def test_verify_builds_no_braid_power(self, monkeypatch):
+        def no_power(beta, n):
+            raise AssertionError("verify built a braid power")
+
+        monkeypatch.setattr(braids, "braid_power", no_power)
+        assert not hasattr(congruence, "braid_power")
+        for braid, p, k, gspec in [
+            ("3: 1 1 -2", 3, 2, "dihedral:5"),
+            ("3: 1 2", 7, 4, "symmetric:5"),
+            ("2: 1", 3, 40, "cyclic:2"),
+        ]:
+            assert congruence.verify(make(braid, p, k, gspec)).cases_checked > 0
 
 
 class TestSweep:

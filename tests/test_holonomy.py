@@ -217,6 +217,39 @@ class TestOrbitReduction:
         }
 
 
+class TestSearchSpace:
+    def test_size_is_the_candidate_product(self, monkeypatch):
+        rng = random.Random(20)
+        G = groups.symmetric(4)
+        for _ in range(30):
+            b = random_braid(rng, max_strands=4, max_len=6)
+            comp = braids.components(b)
+            x = tuple(rng.randrange(G.order) for _ in range(comp.count))
+            for xc in (None, x):
+                size = 1
+                for c in holonomy._candidate_sets(b, G, comp, xc):
+                    size *= len(c)
+                monkeypatch.setattr(holonomy, "SEARCH_CAP", size)
+                holonomy.check_search_space(G, comp, xc)
+                monkeypatch.setattr(holonomy, "SEARCH_CAP", size - 1)
+                with pytest.raises(SearchTooLarge):
+                    holonomy.check_search_space(G, comp, xc)
+                holonomy.check_search_space(G, comp, xc, allow_large=True)
+
+    def test_prescribed_x_builds_no_class_table(self, monkeypatch):
+        # H is scanned from the table, not read off Cen(x)'s class table
+        G = groups.symmetric(4)
+        b = braids.parse_braid("3: 1 1 -2")
+        x = (G.element_index("(1 2)"), G.element_index("(1 2 3)"))
+        expect = holonomy.enumerate_homs(b, G, x_constraint=x)
+
+        def no_table(self, x):
+            raise AssertionError("class table of a centralizer built")
+
+        monkeypatch.setattr(groups.FiniteGroup, "cen_class_reps", no_table)
+        assert holonomy.enumerate_homs(b, G, x_constraint=x) == expect
+
+
 class TestLongitude:
     def test_unknot_trivial(self):
         G = groups.symmetric(3)
@@ -230,6 +263,17 @@ class TestLongitude:
         for r in holonomy.enumerate_homs(b, G):
             # each longitude is the other component's meridian
             assert r.longitude == (r.meridian[1], r.meridian[0])
+
+    def test_holonomy_pass_moves_labels_like_the_action(self):
+        rng = random.Random(21)
+        G = groups.quaternion8()
+        for _ in range(50):
+            b = random_braid(rng)
+            a = [rng.randrange(G.order) for _ in range(b.strands)]
+            labels = list(a)
+            hol = holonomy._holonomies(b.letters, labels, G)
+            assert tuple(labels) == holonomy.artin_action(b, a, G)
+            assert len(hol) == b.strands
 
     def test_not_a_fixed_point(self):
         G = groups.symmetric(3)
