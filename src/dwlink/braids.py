@@ -10,6 +10,7 @@ over its neighbour; strands are oriented upward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadBraid, StrandMismatch
 
@@ -78,15 +79,27 @@ class ComponentData:
 
     cycles[t] lists the bottom positions of component t, starting at the
     minimal one; components are sorted by that basepoint.  self_writhe[t] is
-    the signed count of crossings of component t with itself; linking[t][s]
-    is half the signed count of crossings between components t != s.
+    the signed count of crossings of component t with itself; crossings
+    lists ((t, s), total) for each pair t < s of components that cross,
+    with the signed count of their crossings, in order.  linking[t][s] is
+    half that count (0 for a pair that does not cross), built on first
+    read.
     """
 
     count: int
     cycles: tuple[tuple[int, ...], ...]
     basepoints: tuple[int, ...]
     self_writhe: tuple[int, ...]
-    linking: tuple[tuple[int, ...], ...]
+    crossings: tuple[tuple[tuple[int, int], int], ...]
+
+    @cached_property
+    def linking(self) -> tuple[tuple[int, ...], ...]:
+        linking = [[0] * self.count for _ in range(self.count)]
+        for (t, s), total in self.crossings:
+            # signed inter-component crossings always pair up in a closed braid
+            assert total % 2 == 0, (self, t, s, total)
+            linking[t][s] = linking[s][t] = total // 2
+        return tuple(tuple(row) for row in linking)
 
 
 def cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -119,7 +132,7 @@ def components(beta: BraidWord) -> ComponentData:
             comp_of[j] = t
 
     self_writhe = [0] * n
-    inter = [[0] * n for _ in range(n)]
+    crossings = {}
     strand_at = list(range(m))  # strand_at[p] = bottom strand currently at position p
     for l in beta.letters:
         i = abs(l) - 1
@@ -129,23 +142,14 @@ def components(beta: BraidWord) -> ComponentData:
         if ca == cb:
             self_writhe[ca] += sign
         else:
-            inter[ca][cb] += sign
-            inter[cb][ca] += sign
+            pair = (min(ca, cb), max(ca, cb))
+            crossings[pair] = crossings.get(pair, 0) + sign
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-
-    linking = [[0] * n for _ in range(n)]
-    for t in range(n):
-        for s in range(t + 1, n):
-            total = inter[t][s]
-            # signed inter-component crossings always pair up in a closed braid
-            assert total % 2 == 0, (beta, t, s, total)
-            linking[t][s] = linking[s][t] = total // 2
 
     return ComponentData(
         count=n,
         cycles=cycles,
         basepoints=tuple(c[0] for c in cycles),
         self_writhe=tuple(self_writhe),
-        linking=tuple(tuple(row) for row in linking),
+        crossings=tuple(sorted(crossings.items())),
     )
-

@@ -13,10 +13,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .braids import BraidWord, components
+from .braids import BraidWord, ComponentData, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
-from .holonomy import check_search_space, enumerate_homs
+from .holonomy import check_search_space, check_size, enumerate_homs
 
 
 def _check_lengths(n, x, h):
@@ -100,30 +100,40 @@ class DWTable:
         }
 
 
+def _x_pool(G: FiniteGroup, scope: str):
+    if scope == "all":
+        return G.elements()
+    if scope == "representatives":
+        return [c.representative for c in G.classes]
+    raise ValueError(f"unknown x scope {scope!r}")
+
+
 def x_tuples(G: FiniteGroup, n: int, scope: str):
     """Meridian-prescription tuples: one class representative per component
     by default, or all of G^n with scope='all'."""
-    if scope == "all":
-        pool = list(G.elements())
-    elif scope == "representatives":
-        pool = [c.representative for c in G.classes]
-    else:
-        raise ValueError(f"unknown x scope {scope!r}")
-    return itertools.product(pool, repeat=n)
+    return itertools.product(_x_pool(G, scope), repeat=n)
+
+
+def checked_x_tuples(G: FiniteGroup, comp: ComponentData, scope: str):
+    """x_tuples for the closure of comp, once the sweep is known to fit:
+    at most SEARCH_CAP tuples (each costs at least one scanned candidate),
+    and no tuple's search space over SEARCH_CAP.  Checked before any x is
+    scanned."""
+    pool = _x_pool(G, scope)
+    check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
+    for x in x_tuples(G, comp.count, scope):
+        check_search_space(G, comp, x)
+    return x_tuples(G, comp.count, scope)
 
 
 def dw_table(
     beta: BraidWord, G: FiniteGroup, x_scope: str = "representatives"
 ) -> DWTable:
     """Full table: every x in scope, aggregated exactly and by centralizer
-    class.  One enumeration pass per x, after every x's search space has
-    been checked."""
+    class.  One enumeration pass per x, after checked_x_tuples."""
     comp = components(beta)
-    n = comp.count
-    for x in x_tuples(G, n, x_scope):
-        check_search_space(G, comp, x)
-    table = DWTable(beta, G, n, x_scope)
-    for x in x_tuples(G, n, x_scope):
+    table = DWTable(beta, G, comp.count, x_scope)
+    for x in checked_x_tuples(G, comp, x_scope):
         recs = enumerate_homs(beta, G, x_constraint=x)
         for r in recs:
             key = (x, r.longitude)

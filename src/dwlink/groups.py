@@ -71,6 +71,10 @@ class FiniteGroup:
         if names is None:
             names = tuple(str(i) for i in range(n))
         else:
+            # exact types: JSON strings and numbers, not booleans or objects
+            is_array = isinstance(names, (list, tuple))
+            if not is_array or not set(map(type, names)) <= {str, int, float}:
+                raise BadShape("names is not an array of strings or numbers")
             names = tuple(str(x) for x in names)
             if len(names) != n:
                 raise BadShape("names length does not match order")

@@ -4,10 +4,10 @@ Homomorphisms pi_1(beta^) -> G correspond to m-tuples of G fixed by the
 braid action on G^m.  A tuple labels the meridians at the bottom of the
 braid; the generator for letter +i sends (a, b) at the two crossing
 positions to (a b a^-1, a), its inverse sends (a, b) to (b, b^-1 a b).
-That action is written once, in _act; the fixed-point scans, artin_action
-and the strand-holonomy pass _holonomies (behind longitude_image and
-periodic_scan) all move labels with it.  Per-component meridian and
-longitude images are derived from a fixed tuple.
+That action is written once, in _act; the fixed-point scan _scan,
+artin_action and the strand-holonomy pass _holonomies (behind
+longitude_image and periodic_scan) all move labels with it.  Per-component
+meridian and longitude images are derived from a fixed tuple.
 
 The scan is reduced by conjugation.  Let H be the elements commuting with
 every prescribed meridian (all of G when none is prescribed).  Conjugating
@@ -19,14 +19,17 @@ gives for the smallest member r of each orbit one h per orbit member (a
 transversal of H / Cen_H(r)).  Then every fixed tuple b is h a h^-1 for
 exactly one pair: a is a fixed tuple with a[p0] = r, the smallest member of
 the orbit of b[p0], and h is the transversal element for b[p0].
-enumerate_homs scans only such a and expands each one by its transversal;
-the result is exact, with no duplicates to remove.  periodic_scan scans the
-same representatives for both closures that congruence.verify compares.
+The one loop over these representatives is _scan, which walks the braid
+orbit of each a for a bounded number of steps.  enumerate_homs takes the a
+back after one step and expands each one by its transversal; the result is
+exact, with no duplicates to remove.  periodic_scan takes the a back after
+p^j steps, for both closures that congruence.verify compares.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .braids import BraidWord, ComponentData, components
@@ -132,11 +135,11 @@ def longitude_image(
     return G.table[acc][G.power(meridian, -comp.self_writhe[t])]
 
 
-def _candidate_sets(beta, G, comp, x_constraint):
-    """Per-position candidate element lists, pruned by conjugacy when
-    meridian images are prescribed."""
-    m = beta.strands
-    cands = [list(G.elements()) for _ in range(m)]
+def _candidate_sets(G, comp, x_constraint):
+    """Per-position candidate sequences, pruned by conjugacy when meridian
+    images are prescribed.  Positions with the same candidates share one
+    sequence; callers replace entries of the outer list, never edit one."""
+    cands = [G.elements()] * sum(map(len, comp.cycles))
     if x_constraint is not None:
         if len(x_constraint) != comp.count:
             raise LengthMismatch(
@@ -144,10 +147,22 @@ def _candidate_sets(beta, G, comp, x_constraint):
             )
         for t, cyc in enumerate(comp.cycles):
             x = x_constraint[t]
-            cls = list(G.classes[G.class_of[x]].members)
+            cls = G.classes[G.class_of[x]].members
             for p in cyc:
-                cands[p] = [x] if p == comp.basepoints[t] else cls
+                cands[p] = (x,) if p == comp.basepoints[t] else cls
     return cands
+
+
+def check_size(size: int, what: str, allow_large: bool = False) -> None:
+    """Raise SearchTooLarge when size exceeds SEARCH_CAP, unless allow_large.
+    what names the unit, as in "search space of <size> candidates"."""
+    if size <= SEARCH_CAP or allow_large:
+        return
+    try:
+        shown = str(size)
+    except ValueError:  # more decimal digits than Python will print
+        shown = f"at least 2^{size.bit_length() - 1}"
+    raise SearchTooLarge(what.format(shown) + f" exceeds cap {SEARCH_CAP}")
 
 
 def check_search_space(
@@ -155,23 +170,15 @@ def check_search_space(
 ) -> None:
     """Raise SearchTooLarge when the unreduced candidate space of
     _candidate_sets exceeds SEARCH_CAP, unless allow_large."""
-    if x_constraint is None:
-        size = G.order ** sum(map(len, comp.cycles))
-    else:
-        size = 1
-        for xt, cyc in zip(x_constraint, comp.cycles):
-            size *= len(G.classes[G.class_of[xt]].members) ** (len(cyc) - 1)
-    if size > SEARCH_CAP and not allow_large:
-        raise SearchTooLarge(
-            f"search space of {size} candidates exceeds cap {SEARCH_CAP}"
-        )
+    size = math.prod(map(len, _candidate_sets(G, comp, x_constraint)))
+    check_size(size, "search space of {} candidates", allow_large)
 
 
-def _reduced_candidates(beta, G, comp, x_constraint, allow_large=False):
+def _reduced_candidates(G, comp, x_constraint, allow_large=False):
     """The candidate sets with position p0 cut to one representative per
     H-orbit, p0 and the orbit transversals (see the module docstring)."""
-    cands = _candidate_sets(beta, G, comp, x_constraint)
     check_search_space(G, comp, x_constraint, allow_large)
+    cands = _candidate_sets(G, comp, x_constraint)
     if x_constraint is None:
         H = G.elements()
     else:
@@ -180,6 +187,24 @@ def _reduced_candidates(beta, G, comp, x_constraint, allow_large=False):
     trans = G.orbits(cands[p0], H)
     cands[p0] = list(trans)
     return cands, p0, trans
+
+
+def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
+    """The one scan of the reduced candidates: walk each candidate a's
+    orbit a, f a, f^2 a, ... under beta's action f for at most limit steps.
+    Yields (a, L, transversal) for every a back at itself after L <= limit
+    steps, in lexicographic order of a; transversal maps each member c of
+    the H-orbit of a[p0] to the h with h a[p0] h^-1 = c."""
+    cands, p0, trans = _reduced_candidates(G, comp, x_constraint, allow_large)
+    letters, mul, inv = beta.letters, G.table, G.inv
+    for a in itertools.product(*cands):
+        b = _act(letters, list(a), mul, inv)
+        L = 1
+        while L < limit and tuple(b) != a:
+            _act(letters, b, mul, inv)
+            L += 1
+        if tuple(b) == a:
+            yield a, L, trans[a[p0]]
 
 
 def enumerate_homs(
@@ -198,14 +223,11 @@ def enumerate_homs(
     H = G this divides the scan by about |G| / #classes.  SEARCH_CAP bounds
     the unreduced candidate space."""
     comp = components(beta)
-    cands, p0, trans = _reduced_candidates(beta, G, comp, x_constraint, allow_large)
-
-    letters, mul, inv = beta.letters, G.table, G.inv
+    mul, inv = G.table, G.inv
     fixed = sorted(
         tuple([mul[mul[h][g]][inv[h]] for g in a])
-        for a in itertools.product(*cands)
-        if tuple(_act(letters, list(a), mul, inv)) == a
-        for h in trans[a[p0]].values()
+        for a, _, trans in _scan(beta, G, comp, x_constraint, 1, allow_large)
+        for h in trans.values()
     )
 
     records = []
@@ -250,8 +272,7 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     the component: the longitude is P^(p^(k-j)) x_t^(-p^k w_t).  Both
     exponents are taken mod |G|, and p^k itself is never formed."""
     comp = components(beta)
-    cands, p0, trans = _reduced_candidates(beta, G, comp, x)
-    letters, mul, inv, order = beta.letters, G.table, G.inv, G.order
+    mul, order = G.table, G.order
     # an f-orbit lies in G^m, so no walk needs more steps than |G|^m; for a
     # k with p^k > 2^k > |G|^m this bound also spares forming p^k
     span = order**beta.strands
@@ -259,22 +280,17 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     q = pow(p, k, order)
     frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
     frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
-    for a in itertools.product(*cands):
-        start, b = list(a), list(a)
-        for L in range(1, limit + 1):
-            if _act(letters, b, mul, inv) == start:
-                break
-        else:
-            continue
+    for a, L, trans in _scan(beta, G, comp, x, limit):
         j, r = 0, L
         while r % p == 0:
             j, r = j + 1, r // p
         if r != 1:
             continue
-        # b is back at a: L holonomy passes take it once around its orbit
-        hols = [_holonomies(letters, b, G) for _ in range(L)]
+        # L holonomy passes take b once around the orbit of a
+        b = list(a)
+        hols = [_holonomies(beta.letters, b, G) for _ in range(L)]
         P = [_cycle_product(hols, cyc, mul, G.id) for cyc in comp.cycles]
         e = pow(p, k - j, order)
         big = tuple(mul[G.power(g, e)][f] for g, f in zip(P, frame_big))
         small = tuple(mul[g][f] for g, f in zip(P, frame)) if L == 1 else None
-        yield len(trans[a[p0]]), big, small
+        yield len(trans), big, small

@@ -135,6 +135,14 @@ class TestComponents:
             covered = sorted(p for c in comp.cycles for p in c)
             assert covered == list(range(sum(len(c) for c in comp.cycles)))
 
+    def test_crossings_are_sparse(self):
+        # only the pairs that cross are kept; linking is built when read
+        comp = braids.components(braids.parse_braid("200000: 1 1 3 -3"))
+        assert comp.crossings == (((0, 1), 2), ((2, 3), 0))
+        assert "linking" not in vars(comp)
+        small = braids.components(braids.parse_braid("4: 1 1 3 -3"))
+        assert small.linking == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+
     def test_total_writhe_identity(self):
         rng = random.Random(6)
         for _ in range(100):

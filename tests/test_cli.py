@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,12 @@ class TestFileGroup:
     def test_duplicate_names_exit2(self, capsys, tmp_path):
         spec = _file_group(tmp_path, {"mul": [[0, 1], [1, 0]], "names": ["a", "a"]})
         assert main(["homs", "--braid", "2: 1", "--group", spec, "--x", "a"]) == 2
+
+    @pytest.mark.parametrize("names", [5, "e", {"e": 0}, [True], [None], [["e"]]])
+    def test_names_not_strings_or_numbers_exit2(self, capsys, tmp_path, names):
+        spec = _file_group(tmp_path, {"mul": [[0]], "names": names})
+        assert main(["group-info", "--group", spec]) == 2
+        assert "names" in capsys.readouterr().err
 
 
 class TestBraidInfo:
@@ -258,6 +268,49 @@ class TestSweep:
         code = main(["verify", "--braid", "2: 1", "-p", "3", "-k", "1",
                      "--group", "symmetric:9"])
         assert code == 3
+
+
+# runs dwlink.cli.main on its argv, then prints its own peak RSS in KiB
+# (Linux) as the last line of stderr
+RSS_CHILD = """\
+import resource, sys
+from dwlink.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestRefusedBeforeWork:
+    """Inputs whose work is refused up front exit 3 in a fresh process
+    without a long run or a large allocation first."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 200000 components: no n x n table of crossings
+            (["homs", "--braid", "200000:", "--group", "cyclic:2", "--count"],
+             "search space of at least 2^200000 candidates exceeds cap 1000000000"),
+            (["dw", "--braid", "200000:", "--group", "cyclic:2"],
+             "sweep of at least 2^200000 meridian tuples exceeds cap 1000000000"),
+            # 2^30 meridian tuples, each with a search space of 1
+            (["verify", "--braid", "30:", "--group", "cyclic:2", "-p", "3", "-k", "1"],
+             "sweep of 1073741824 meridian tuples exceeds cap 1000000000"),
+            # 120^2100 has more decimal digits than Python prints
+            (["homs", "--braid", "2100:", "--group", "symmetric:5", "--count"],
+             "search space of at least 2^14504 candidates exceeds cap 1000000000"),
+        ],
+    )
+    def test_exit3(self, argv, message):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_CHILD, *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        *err, rss_kib = proc.stderr.splitlines()
+        assert (proc.returncode, proc.stdout, err) == (3, "", [f"error: {message}"])
+        assert int(rss_kib) < 200 * 1024
 
 
 class TestFrobcheck:

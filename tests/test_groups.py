@@ -64,6 +64,15 @@ class TestFromCayleyTable:
         with pytest.raises(BadShape, match="distinct"):
             groups.from_cayley_table([[0, 1], [1, 0]], names=["a", "a"])
 
+    @pytest.mark.parametrize("names", [5, "ab", {"a": 0, "b": 1}, ["a", True], ["a", None]])
+    def test_names_not_strings_or_numbers(self, names):
+        with pytest.raises(BadShape, match="names"):
+            groups.from_cayley_table([[0, 1], [1, 0]], names=names)
+
+    def test_number_names(self):
+        G = groups.from_cayley_table([[0, 1], [1, 0]], names=[0, 1.5])
+        assert G.names == ("0", "1.5")
+
 
 class TestFromPermutationGenerators:
     def test_s3(self):

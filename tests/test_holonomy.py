@@ -160,7 +160,7 @@ def unreduced_homs(beta, G, x=None):
     with its records: the scan without the conjugation reduction."""
     comp = braids.components(beta)
     recs = []
-    for a in itertools.product(*holonomy._candidate_sets(beta, G, comp, x)):
+    for a in itertools.product(*holonomy._candidate_sets(G, comp, x)):
         if holonomy.artin_action(beta, a, G) == a:
             longitude = tuple(
                 holonomy.longitude_image(beta, a, t, G, comp=comp, check=False)
@@ -198,7 +198,7 @@ class TestOrbitReduction:
                     continue
                 x = tuple(rng.choice(pool_x) for _ in range(n))
                 H = set.intersection(*(set(G.centralizer(xt)) for xt in x))
-                cands = holonomy._candidate_sets(b, G, comp, x)
+                cands = holonomy._candidate_sets(G, comp, x)
                 p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
                 if len(H) == G.order:
                     covered.add("H = G")
@@ -227,7 +227,7 @@ class TestSearchSpace:
             x = tuple(rng.randrange(G.order) for _ in range(comp.count))
             for xc in (None, x):
                 size = 1
-                for c in holonomy._candidate_sets(b, G, comp, xc):
+                for c in holonomy._candidate_sets(G, comp, xc):
                     size *= len(c)
                 monkeypatch.setattr(holonomy, "SEARCH_CAP", size)
                 holonomy.check_search_space(G, comp, xc)
