@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import eq, itemgetter
 
 from .braids import cycles_of
@@ -54,17 +54,25 @@ class FiniteGroup:
         n = len(mul)
         if n == 0:
             raise BadShape("empty multiplication table")
-        for row in mul:
-            if len(row) != n:
-                raise BadShape("multiplication table is not square")
+        # whole-table scans at C speed; a table that fails them is walked
+        # row by row to name the first offending entry
+        if not (
+            set(map(len, mul)) == {n}
             # exact type: rejects floats such as 0.0 and bools
-            if set(map(type, row)) != {int}:
-                v = next(v for v in row if type(v) is not int)
-                raise BadShape(f"table entry {v!r} is not an integer")
-            lo, hi = min(row), max(row)
-            if lo < 0 or hi >= n:
-                v = lo if lo < 0 else hi
-                raise BadShape(f"table entry {v} out of range for order {n}")
+            and set(map(type, chain.from_iterable(mul))) == {int}
+            and min(chain.from_iterable(mul)) >= 0
+            and max(chain.from_iterable(mul)) < n
+        ):
+            for row in mul:
+                if len(row) != n:
+                    raise BadShape("multiplication table is not square")
+                if set(map(type, row)) != {int}:
+                    v = next(v for v in row if type(v) is not int)
+                    raise BadShape(f"table entry {v!r} is not an integer")
+                lo, hi = min(row), max(row)
+                if lo < 0 or hi >= n:
+                    v = lo if lo < 0 else hi
+                    raise BadShape(f"table entry {v} out of range for order {n}")
         self.order = n
         self.table = mul
         self.name = name
@@ -212,6 +220,13 @@ class FiniteGroup:
         column = map(itemgetter(x), self.table)
         return tuple(compress(range(self.order), map(eq, column, self.table[x])))
 
+    def centralizer_set(self, x: int) -> set[int]:
+        """The members of Cen(x) as a set: the keys of cen_class_reps(x)
+        when that is built, else a centralizer scan, which is cheaper than
+        building it."""
+        reps = self._cen_reps.get(x)
+        return set(self.centralizer(x) if reps is None else reps)
+
     def cen_class_reps(self, x: int) -> dict[int, int]:
         """Map every h in Cen(x) to the smallest member of its conjugacy
         class inside Cen(x).  Built from orbits on the first call for each
@@ -281,11 +296,14 @@ def from_permutation_generators(
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    frontier = [ident]
+    # parents[q] = (p, j): element q was found as elems[p]∘gens[j]
+    parents = [None]
+    frontier = [0]
     while frontier:
         nxt = []
-        for p in frontier:
-            for g in gens:
+        for pi in frontier:
+            p = elems[pi]
+            for j, g in enumerate(gens):
                 q = tuple(p[g[i]] for i in range(degree))
                 if q not in index:
                     if len(elems) >= ORDER_CAP:
@@ -293,15 +311,23 @@ def from_permutation_generators(
                             f"generated group exceeds cap of {ORDER_CAP} elements"
                         )
                     index[q] = len(elems)
+                    nxt.append(len(elems))
                     elems.append(q)
-                    nxt.append(q)
+                    parents.append((pi, j))
         frontier = nxt
-    if degree == 1:  # only the identity; itemgetter(i) would return a bare item
-        table = [[0]]
+    n = len(elems)
+    if n == 1:  # only the identity; itemgetter(i) would return a bare item
+        table = [(0,)]
     else:
-        # the column getter of b maps a to a∘b = (a[b[0]], a[b[1]], ...)
-        cols = [itemgetter(*b) for b in elems]
-        table = [[index[col(a)] for col in cols] for a in elems]
+        # row g of a generator, b -> g∘b = (g[b[0]], g[b[1]], ...), is
+        # looked up once; the row of q = p∘g is then row p gathered at row
+        # g, since (p∘g)∘b = p∘(g∘b).  Parents precede their children.
+        at_gen_rows = [
+            itemgetter(*(index[itemgetter(*b)(g)] for b in elems)) for g in gens
+        ]
+        table = [tuple(range(n))]
+        for pi, j in parents[1:]:
+            table.append(at_gen_rows[j](table[pi]))
     names = [_perm_name(p) for p in elems]
     return FiniteGroup(table, names=names, name=name, validate=False)
 
@@ -311,7 +337,9 @@ def cyclic(n: int) -> FiniteGroup:
         raise InputError("cyclic group order must be positive")
     if n > ORDER_CAP:
         raise GroupTooLarge(f"cyclic group order {n} exceeds cap of {ORDER_CAP}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    # row a is a + b mod n over b: a window of 0..n-1 repeated twice
+    base = tuple(range(n)) * 2
+    table = [base[a : a + n] for a in range(n)]
     return FiniteGroup(table, name=f"cyclic:{n}", validate=False)
 
 
@@ -325,17 +353,16 @@ def dihedral(n: int) -> FiniteGroup:
             f"dihedral group order {order} exceeds cap of {ORDER_CAP}"
         )
 
-    def idx(a, b):
-        return a + n * b
-
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(n):
-        for b1 in range(2):
-            for a2 in range(n):
-                for b2 in range(2):
-                    # (r^a1 s^b1)(r^a2 s^b2) = r^(a1 + (-1)^b1 a2) s^(b1+b2)
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % n
-                    table[idx(a1, b1)][idx(a2, b2)] = idx(a, (b1 + b2) % 2)
+    # r^a s^b has index a + n b, and (r^a1 s^b1)(r^a2 s^b2) is
+    # r^(a1 + (-1)^b1 a2) s^(b1 + b2).  Over a2 = 0..n-1, a1 + a2 mod n is a
+    # window of up = 0..n-1 twice and a1 - a2 mod n one of down = n-1..0
+    # twice; the reflections are the same windows shifted by n.
+    up = tuple(range(n)) * 2
+    down = up[::-1]
+    up_s, down_s = (tuple(v + n for v in w) for w in (up, down))
+    table = [up[a : a + n] + up_s[a : a + n] for a in range(n)]
+    # row n + a starts at a in down, that is at index n - 1 - a
+    table += [down_s[i : i + n] + down[i : i + n] for i in reversed(range(n))]
     names = [f"r{a}" if a else "e" for a in range(n)]
     names += [f"r{a}s" if a else "s" for a in range(n)]
     return FiniteGroup(table, names=names, name=f"dihedral:{n}", validate=False)

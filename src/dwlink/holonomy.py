@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .braids import BraidWord, ComponentData, components
@@ -170,7 +171,10 @@ def check_search_space(
 ) -> None:
     """Raise SearchTooLarge when the unreduced candidate space of
     _candidate_sets exceeds SEARCH_CAP, unless allow_large."""
-    size = math.prod(map(len, _candidate_sets(G, comp, x_constraint)))
+    # one power per distinct length: multiplying the m lengths one at a
+    # time is quadratic in m once the product is large
+    lengths = Counter(map(len, _candidate_sets(G, comp, x_constraint)))
+    size = math.prod(n**e for n, e in lengths.items())
     check_size(size, "search space of {} candidates", allow_large)
 
 
@@ -182,7 +186,7 @@ def _reduced_candidates(G, comp, x_constraint, allow_large=False):
     if x_constraint is None:
         H = G.elements()
     else:
-        H = set.intersection(*(set(G.centralizer(x)) for x in x_constraint))
+        H = set.intersection(*map(G.centralizer_set, x_constraint))
     p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
     trans = G.orbits(cands[p0], H)
     cands[p0] = list(trans)

@@ -3,8 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwlink import groups
+from dwlink.braids import cycles_of
 from dwlink.errors import (
     BadPermutation,
     BadShape,
@@ -110,6 +112,157 @@ class TestFromPermutationGenerators:
         for G in sample_groups():
             # re-validate the table through the checking constructor
             groups.FiniteGroup(G.table, names=G.names, validate=True)
+
+
+def reference_closure(degree, generators):
+    """The elements of the generated group as 0-based image tuples, in
+    breadth-first discovery order, with the index of each."""
+    gens = [groups._cycles_to_perm(degree, g) for g in generators]
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    frontier = elems[:]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[i]] for i in range(degree))
+                if q not in index:
+                    index[q] = len(elems)
+                    elems.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    return elems, index
+
+
+def reference_perm_group(degree, generators, name):
+    """The Cayley table of the generated group with index[a∘b] looked up
+    for every product: the construction the gathered rows replace."""
+    elems, index = reference_closure(degree, generators)
+    table = [
+        [index[tuple(a[b[i]] for i in range(degree))] for b in elems]
+        for a in elems
+    ]
+    names = [groups._perm_name(p) for p in elems]
+    return groups.FiniteGroup(table, names=names, name=name, validate=False)
+
+
+def reference_cyclic(n):
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return groups.FiniteGroup(table, name=f"cyclic:{n}", validate=False)
+
+
+def reference_dihedral(n):
+    """r^a s^b at index a + n b, multiplied entry by entry."""
+    order = 2 * n
+    table = [[0] * order for _ in range(order)]
+    for a1, b1, a2, b2 in itertools.product(range(n), range(2), range(n), range(2)):
+        a = (a1 + (a2 if b1 == 0 else -a2)) % n
+        table[a1 + n * b1][a2 + n * b2] = a + n * ((b1 + b2) % 2)
+    names = [f"r{a}" if a else "e" for a in range(n)]
+    names += [f"r{a}s" if a else "s" for a in range(n)]
+    return groups.FiniteGroup(table, names=names, name=f"dihedral:{n}", validate=False)
+
+
+def symmetric_generators(n):
+    if n == 1:
+        return []
+    return [[(1, 2)]] + ([[tuple(range(1, n + 1))]] if n > 2 else [])
+
+
+def assert_same_group(G, R):
+    assert G.table == R.table
+    assert G.names == R.names
+    assert G.inv == R.inv
+    assert G.classes == R.classes
+    assert G.name == R.name
+
+
+def perm_cycles(perm):
+    """A 0-based image tuple as 1-based cycles, fixed points left out."""
+    return [tuple(i + 1 for i in c) for c in cycles_of(perm) if len(c) > 1]
+
+
+# degree 1, no generators, an identity generator, a repeated generator, an
+# intransitive group and the Frobenius group F21
+PERM_SPECS = [
+    "perm:1:",
+    "perm:1:e",
+    "perm:4:",
+    "perm:3:e;(1 2 3)",
+    "perm:4:(1 2 3 4);(1 2 3 4);(1 3)",
+    "perm:6:(1 2)(3 4);(5 6);(1 3)",
+    "perm:7:(1 2 3 4 5 6 7);(1 2 4)(3 6 5)",
+]
+
+
+class TestTablesAgainstReference:
+    """Every built-in table equals the product-by-product construction."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric(self, n):
+        R = reference_perm_group(n, symmetric_generators(n), f"symmetric:{n}")
+        assert_same_group(groups.symmetric(n), R)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cyclic_and_dihedral(self, n):
+        assert_same_group(groups.cyclic(n), reference_cyclic(n))
+        assert_same_group(groups.dihedral(n), reference_dihedral(n))
+
+    @pytest.mark.parametrize("spec", PERM_SPECS)
+    def test_perm_spec(self, spec):
+        degree, _, text = spec.removeprefix("perm:").partition(":")
+        gens = [groups._parse_cycles(part) for part in text.split(";") if part.strip()]
+        R = reference_perm_group(int(degree), gens, spec)
+        assert_same_group(groups.from_group_spec(spec), R)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.lists(st.permutations(range(d)), max_size=3).map(
+                lambda ps: (d, ps)
+            )
+        )
+    )
+    @settings(max_examples=30)
+    def test_random_generators(self, case):
+        degree, perms = case
+        gens = [perm_cycles(p) for p in perms]
+        G = groups.from_permutation_generators(degree, gens)
+        assert_same_group(G, reference_perm_group(degree, gens, "perm"))
+
+    def test_symmetric7_rows(self):
+        # the whole reference would look up 5040^2 products; 50 rows are
+        # checked against the composition instead
+        G = groups.symmetric(7)
+        elems, index = reference_closure(7, symmetric_generators(7))
+        assert G.names == tuple(groups._perm_name(p) for p in elems)
+        rng = random.Random(7)
+        for a in rng.sample(range(G.order), 50):
+            p = elems[a]
+            assert G.table[a] == tuple(index[tuple(p[i] for i in b)] for b in elems)
+
+
+class TestTableChecks:
+    """A table that fails the whole-table check is refused with the message
+    of its first offending row, as when every row was checked in turn."""
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, 1], [1]], "multiplication table is not square"),
+            ([[0, 1], [1, 0, 1]], "multiplication table is not square"),
+            ([[0, 1], [1, 0.0]], "table entry 0.0 is not an integer"),
+            ([[0, 1.0], [1, 0, 2]], "table entry 1.0 is not an integer"),
+            ([[0, 1], [True, 0]], "table entry True is not an integer"),
+            ([[0, 1], [1, -1]], "table entry -1 out of range for order 2"),
+            ([[0, 5], [True, 0]], "table entry 5 out of range for order 2"),
+            ([[0, 2], [-1, 0]], "table entry 2 out of range for order 2"),
+            ([[-3, 2], [1, 0]], "table entry -3 out of range for order 2"),
+        ],
+    )
+    def test_first_offending_entry(self, table, message):
+        with pytest.raises(BadShape) as err:
+            groups.FiniteGroup(table, validate=False)
+        assert str(err.value) == message
 
 
 def is_associative(mul):
@@ -253,6 +406,16 @@ class TestCentralizer:
         G = groups.symmetric(4)
         assert not hasattr(G, "centralizers")
         assert not hasattr(groups, "Subgroup")
+
+
+class TestCentralizerSet:
+    @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5", "quaternion:8"])
+    def test_before_and_after_class_table(self, spec):
+        G = groups.from_group_spec(spec)
+        for x in G.elements():
+            assert G.centralizer_set(x) == set(G.centralizer(x))
+            G.cen_class_reps(x)
+            assert G.centralizer_set(x) == set(G.centralizer(x))
 
 
 class TestClassInSubgroup:

@@ -250,6 +250,22 @@ class TestSearchSpace:
         assert holonomy.enumerate_homs(b, G, x_constraint=x) == expect
 
 
+    def test_cached_class_table_replaces_the_scan(self, monkeypatch):
+        # once verify or dw has built Cen(x)'s class table, H is its keys
+        G = groups.symmetric(4)
+        b = braids.parse_braid("3: 1 1 -2")
+        x = (G.element_index("(1 2)"), G.element_index("(1 2 3)"))
+        expect = holonomy.enumerate_homs(b, G, x_constraint=x)
+        for xt in x:
+            G.cen_class_reps(xt)
+
+        def no_scan(self, x):
+            raise AssertionError("centralizer scanned")
+
+        monkeypatch.setattr(groups.FiniteGroup, "centralizer", no_scan)
+        assert holonomy.enumerate_homs(b, G, x_constraint=x) == expect
+
+
 class TestLongitude:
     def test_unknot_trivial(self):
         G = groups.symmetric(3)
