@@ -109,8 +109,9 @@ def check_preconditions(
 def class_counts(instance: CongruenceInstance, x) -> tuple[Counter, Counter]:
     """The class-level counts at the meridian tuple x of the closure of
     beta^(p^k) and of the closure of beta, keyed like dw.class_buckets.
-    Every scanned representative stands for its H-orbit, whose members
-    share its Cen(x_t)-classes, so it adds its orbit size."""
+    Every scanned representative stands for weight fixed tuples, each
+    conjugate to it by an element of H, so they share its Cen(x_t)-classes
+    and it adds its weight."""
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
     reps = [G.cen_class_reps(xt) for xt in x]
     lhs, rhs = Counter(), Counter()

@@ -11,7 +11,7 @@ primitive element g (Lidl and Niederreiter, *Finite Fields*, ch. 9), each of
 size O(q): exp[i] = g^i, log (its inverse) and zech[i] = log(1 + g^i), so
 that g^a g^b = g^(a+b) and g^a + g^b = g^(a + zech[b-a]).  mat_mul adds up
 its dot products in the log domain.  Larger fields multiply polynomials
-modulo the modulus.
+modulo the modulus, except prime fields, which compute with integers mod p.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class FqField:
 
     def add(self, a, b):
         if self.zech is None:
-            return self._add_slow(a, b)
+            return (a + b) % self.p if self.e == 1 else self._add_slow(a, b)
         if not a or not b:
             return a or b
         la, lb = self.log[a], self.log[b]
@@ -180,11 +180,13 @@ class FqField:
         return 0 if z is None else self.exp[la + z]
 
     def neg(self, a):
+        if self.e == 1:
+            return -a % self.p
         return self._pack([-x for x in self.coeffs(a)])
 
     def mul(self, a, b):
         if self.zech is None:
-            return self._mul_slow(a, b)
+            return a * b % self.p if self.e == 1 else self._mul_slow(a, b)
         if not a or not b:
             return 0
         return self.exp[self.log[a] + self.log[b]]

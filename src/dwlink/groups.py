@@ -211,6 +211,11 @@ class FiniteGroup:
 
     def _conjugacy_classes(self):
         G = range(self.order)
+        mul = self.table
+        # row g against column g, lazily: the first pair that does not
+        # commute ends the check, and an abelian group needs no orbit walk
+        if all(all(map(eq, mul[g], map(itemgetter(g), mul))) for g in G):
+            return tuple(ConjClass(g, (g,)) for g in G)
         orbits = self.orbits(G, G).items()
         return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)
 

@@ -9,21 +9,31 @@ artin_action and the strand-holonomy pass _holonomies (behind
 longitude_image and periodic_scan) all move labels with it.  Per-component
 meridian and longitude images are derived from a fixed tuple.
 
-The scan is reduced by conjugation.  Let H be the elements commuting with
-every prescribed meridian (all of G when none is prescribed).  Conjugating
-a tuple entrywise by h in H commutes with the braid action, since _act only
-forms group words, and maps every candidate set to itself.  So H permutes
-the fixed tuples.  Fix p0, the first position with more than one
-candidate, and split its candidates into H-orbits with G.orbits, which
-gives for the smallest member r of each orbit one h per orbit member (a
-transversal of H / Cen_H(r)).  Then every fixed tuple b is h a h^-1 for
-exactly one pair: a is a fixed tuple with a[p0] = r, the smallest member of
-the orbit of b[p0], and h is the transversal element for b[p0].
+The scan is reduced by conjugation, along a stabilizer chain of two
+levels.  Let H be the elements commuting with every prescribed meridian
+(all of G when none is prescribed).  Conjugating a tuple entrywise by h in
+H commutes with the braid action, since _act only forms group words, and
+maps every candidate set to itself.  So H permutes the fixed tuples.  Fix
+p0, the first position with more than one candidate, and split its
+candidates into H-orbits with G.orbits, which gives for the smallest
+member r of each orbit a transversal T0 of H / Cen_H(r): one h per orbit
+member.  Once a[p0] = r, the stabilizer Cen_H(r) still acts on the other
+positions, so the next position p1 with more than one candidate is split
+the same way into Cen_H(r)-orbits, each with its smallest member s and a
+transversal T1 of Cen_H(r) / Cen_H(r, s).  Every fixed tuple b is then
+g a g^-1, g = h0 h1, for exactly one triple: a is a fixed tuple with
+a[p0] = r and a[p1] = s, h0 in T0 moves r to b[p0], and h1 in T1 moves s
+to h0^-1 b[p1] h0.  So a stands for |T0| |T1| fixed tuples.  These are
+the first two steps of a stabilizer chain (Butler, *Fundamental Algorithms
+for Permutation Groups*, LNCS 559; McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998); without a second position with more
+than one candidate the chain has the one level p0.
 The one loop over these representatives is _scan, which walks the braid
 orbit of each a for a bounded number of steps.  enumerate_homs takes the a
-back after one step and expands each one by its transversal; the result is
-exact, with no duplicates to remove.  periodic_scan takes the a back after
-p^j steps, for both closures that congruence.verify compares.
+back after one step and expands each one over its two transversals; the
+result is exact, with no duplicates to remove.  periodic_scan takes the a
+back after p^j steps, for both closures that congruence.verify compares,
+and weighs each by |T0| |T1|.
 """
 
 from __future__ import annotations
@@ -179,36 +189,50 @@ def check_search_space(
 
 
 def _reduced_candidates(G, comp, x_constraint, allow_large=False):
-    """The candidate sets with position p0 cut to one representative per
-    H-orbit, p0 and the orbit transversals (see the module docstring)."""
+    """The stabilizer chain of the scan (see the module docstring): the
+    candidate sets, p0, p1 (None without a second position with more than
+    one candidate), H, and the H-orbit transversals at p0.  The caller cuts
+    positions p0 and p1 per representative."""
     check_search_space(G, comp, x_constraint, allow_large)
     cands = _candidate_sets(G, comp, x_constraint)
     if x_constraint is None:
         H = G.elements()
     else:
         H = set.intersection(*map(G.centralizer_set, x_constraint))
-    p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
-    trans = G.orbits(cands[p0], H)
-    cands[p0] = list(trans)
-    return cands, p0, trans
+    multi = [p for p, c in enumerate(cands) if len(c) > 1]
+    p0 = multi[0] if multi else 0
+    p1 = multi[1] if len(multi) > 1 else None
+    return cands, p0, p1, H, G.orbits(cands[p0], H)
 
 
 def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
-    """The one scan of the reduced candidates: walk each candidate a's
+    """The one scan of the chain's representatives: walk each candidate a's
     orbit a, f a, f^2 a, ... under beta's action f for at most limit steps.
-    Yields (a, L, transversal) for every a back at itself after L <= limit
-    steps, in lexicographic order of a; transversal maps each member c of
-    the H-orbit of a[p0] to the h with h a[p0] h^-1 = c."""
-    cands, p0, trans = _reduced_candidates(G, comp, x_constraint, allow_large)
+    Yields (a, L, t0, t1) for every a back at itself after L <= limit
+    steps, in lexicographic order of a.  t0 maps each member c of the
+    H-orbit of r = a[p0] to the h with h r h^-1 = c; t1 maps each member c
+    of the Cen_H(r)-orbit of a[p1] to the h with h a[p1] h^-1 = c, and is
+    {e: e} when the chain has one level."""
+    cands, p0, p1, H, trans0 = _reduced_candidates(
+        G, comp, x_constraint, allow_large
+    )
     letters, mul, inv = beta.letters, G.table, G.inv
-    for a in itertools.product(*cands):
-        b = _act(letters, list(a), mul, inv)
-        L = 1
-        while L < limit and tuple(b) != a:
-            _act(letters, b, mul, inv)
-            L += 1
-        if tuple(b) == a:
-            yield a, L, trans[a[p0]]
+    level1 = cands[p1] if p1 is not None else None
+    trivial = {G.id: G.id}
+    for r, t0 in trans0.items():
+        cands[p0] = (r,)
+        if p1 is not None:
+            stabilizer = [h for h in H if mul[mul[h][r]][inv[h]] == r]
+            trans1 = G.orbits(level1, stabilizer)
+            cands[p1] = list(trans1)
+        for a in itertools.product(*cands):
+            b = _act(letters, list(a), mul, inv)
+            L = 1
+            while L < limit and tuple(b) != a:
+                _act(letters, b, mul, inv)
+                L += 1
+            if tuple(b) == a:
+                yield a, L, t0, trivial if p1 is None else trans1[a[p1]]
 
 
 def enumerate_homs(
@@ -221,18 +245,21 @@ def enumerate_homs(
     meridian and longitude data.  x_constraint optionally prescribes the
     meridian image of each closure component.
 
-    Only one representative per H-conjugacy orbit is scanned at the first
-    position with more than one candidate (see the module docstring); each
-    fixed tuple found is then conjugated by that orbit's transversal.  With
-    H = G this divides the scan by about |G| / #classes.  SEARCH_CAP bounds
-    the unreduced candidate space."""
+    Only one representative per orbit of the two-level stabilizer chain
+    is scanned (see the module docstring); each fixed tuple found is then
+    conjugated by h0 h1 for every h1 in its level-1 transversal and every
+    h0 in its level-0 transversal, and the results are sorted.  SEARCH_CAP
+    bounds the unreduced candidate space."""
     comp = components(beta)
     mul, inv = G.table, G.inv
-    fixed = sorted(
-        tuple([mul[mul[h][g]][inv[h]] for g in a])
-        for a, _, trans in _scan(beta, G, comp, x_constraint, 1, allow_large)
-        for h in trans.values()
-    )
+    fixed = []
+    for a, _, t0, t1 in _scan(beta, G, comp, x_constraint, 1, allow_large):
+        for h1 in t1.values():
+            for h0 in t0.values():
+                g = mul[h0][h1]
+                gi = inv[g]
+                fixed.append(tuple([mul[mul[g][c]][gi] for c in a]))
+    fixed.sort()
 
     records = []
     for a in fixed:
@@ -256,14 +283,15 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
 
     Write f for beta's action on tuples.  The action of beta^(p^k) is
     f^(p^k), its cycles have the member sets of beta's (so the candidate
-    sets, p0 and the transversals are the same), and conjugation by H
+    sets, p0, p1 and the transversals are the same), and conjugation by H
     commutes with f.  So for each scanned representative a this walks the
     f-orbit a, f a, f^2 a, ... until it returns to a, after L steps, or
     until p^k steps have passed.  a is fixed by f^(p^k) exactly when L =
     p^j with j <= k, and by f exactly when L = 1.  Yields (weight, big,
-    small) for each a fixed by f^(p^k): weight is the size of a's
-    H-orbit, big the longitude images of the closure of beta^(p^k) at a,
-    and small those of the closure of beta, or None when L > 1.
+    small) for each a fixed by f^(p^k): weight is |T0| |T1|, the number
+    of fixed tuples a stands for, big the longitude images of the closure
+    of beta^(p^k) at a, and small those of the closure of beta, or None
+    when L > 1.
 
     The longitude of beta^(p^k) (see longitude_image) left-multiplies the
     holonomies of the strands of component t, of cycle c_t of length c,
@@ -284,7 +312,7 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     q = pow(p, k, order)
     frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
     frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
-    for a, L, trans in _scan(beta, G, comp, x, limit):
+    for a, L, t0, t1 in _scan(beta, G, comp, x, limit):
         j, r = 0, L
         while r % p == 0:
             j, r = j + 1, r // p
@@ -297,4 +325,4 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
         e = pow(p, k - j, order)
         big = tuple(mul[G.power(g, e)][f] for g, f in zip(P, frame_big))
         small = tuple(mul[g][f] for g, f in zip(P, frame)) if L == 1 else None
-        yield len(trans), big, small
+        yield len(t0) * len(t1), big, small

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwlink import arith, braids, gf, groups
 from dwlink.cli import main
@@ -368,3 +371,159 @@ class TestDeterminism:
         _, out1 = run(capsys, "sweep", "--catalog", str(path))
         _, out2 = run(capsys, "sweep", "--catalog", str(path))
         assert out1 == out2 and "elapsed" not in out1
+
+
+# -- exit 1 means a violation, whatever the input ---------------------------
+
+# valid groups small enough that every command below runs in milliseconds
+SMALL_GROUPS = ["cyclic:3", "symmetric:3", "quaternion:8", "dihedral:2", "dihedral:5"]
+MALFORMED_GROUPS = st.one_of(
+    st.sampled_from([
+        "", "nope:3", "cyclic:", "cyclic:0", "cyclic:-4", "cyclic:x", "cyclic:3.5",
+        "cyclic:20000", "dihedral:0", "symmetric:0", "symmetric:100000",
+        "quaternion:7", "perm:0:", "perm:3:(1 4)", "perm:3:(1 2)junk",
+        "perm:3:(1 2)(3", "perm:2:(1 1)", "file:", "file:no-such-group.json",
+    ]),
+    # no digits in the free text, so no spec asks for a large group
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["cyclic", "dihedral", "symmetric", "quaternion", "perm", "x"]),
+        st.text(alphabet="abx():;,- e", max_size=8),
+    ),
+)
+
+
+@st.composite
+def small_braids(draw):
+    m = draw(st.integers(1, 3))
+    alphabet = [s * i for i in range(1, m) for s in (1, -1)] or [1]
+    letters = draw(st.lists(st.sampled_from(alphabet), max_size=5)) if m > 1 else []
+    return f"{m}: " + " ".join(map(str, letters))
+
+
+# at most 3 strands, or 30, whose sweeps and searches are refused up front
+MALFORMED_BRAIDS = st.one_of(
+    st.sampled_from(["", ":", "2", "2 1", "30:", "0:", "-1: 1", "2: 0", "2: 2"]),
+    st.builds(
+        "{}: {}".format,
+        st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["", "x", "2.0"])),
+        st.lists(
+            st.one_of(st.integers(-4, 4).map(str), st.sampled_from(["x", "1.5", "--1"])),
+            max_size=5,
+        ).map(" ".join),
+    ),
+)
+NOT_NUMBERS = st.sampled_from(["x", "", "1e3", "3.0", "-"])
+
+
+def numbers(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+SMALL_PRIMES = st.sampled_from(["2", "3", "5", "7", "11", "13"])
+PRIMES = st.one_of(SMALL_PRIMES, st.just("1000000007"))
+ELEMENT_NAMES = st.lists(
+    st.sampled_from(["e", "(1 2)", "(1 2 3)", "i", "-1", "r1", "s", "0", "1", "zz"]),
+    min_size=1, max_size=3,
+)
+# per command: option -> (well-formed values, malformed values)
+OPTIONS = {
+    "group-info": {"--group": (st.sampled_from(SMALL_GROUPS), MALFORMED_GROUPS)},
+    "braid-info": {"--braid": (small_braids(), MALFORMED_BRAIDS)},
+    "homs": {
+        "--braid": (small_braids(), MALFORMED_BRAIDS),
+        "--group": (st.sampled_from(SMALL_GROUPS), MALFORMED_GROUPS),
+    },
+    "dw": {
+        "--braid": (small_braids(), MALFORMED_BRAIDS),
+        "--group": (st.sampled_from(SMALL_GROUPS), MALFORMED_GROUPS),
+    },
+    "verify": {
+        "--braid": (small_braids(), MALFORMED_BRAIDS),
+        "--group": (st.sampled_from(SMALL_GROUPS), MALFORMED_GROUPS),
+        "-p": (PRIMES, st.one_of(numbers(-3, 12), NOT_NUMBERS)),
+        "-k": (numbers(1, 4), st.one_of(numbers(-2, 0), NOT_NUMBERS)),
+    },
+    "sweep": {},
+    "frobcheck": {
+        # a large p with e > 1 computes with polynomials, for seconds
+        "-p": (SMALL_PRIMES, st.one_of(numbers(-3, 12), NOT_NUMBERS)),
+        "-e": (numbers(1, 3), st.one_of(numbers(-2, 0), st.just("13"), NOT_NUMBERS)),
+        "-n": (numbers(1, 3), st.one_of(numbers(-2, 0), NOT_NUMBERS)),
+        "--trials": (numbers(1, 3), st.one_of(numbers(-2, 0), NOT_NUMBERS)),
+        "--seed": (numbers(-2, 2), NOT_NUMBERS),
+    },
+    "nope": {},
+}
+FLAGS = {
+    "homs": ["--count", "--x"],
+    "dw": ["--all-x", "--exact"],
+    "verify": ["--all-x", "--threads"],
+    "sweep": ["--threads"],
+}
+CATALOG_ENTRY = st.dictionaries(
+    st.sampled_from(["braid", "group", "p", "k"]),
+    st.one_of(
+        small_braids(), MALFORMED_BRAIDS, st.sampled_from(SMALL_GROUPS),
+        MALFORMED_GROUPS, st.integers(-3, 13), st.none(),
+    ),
+)
+CATALOGS = st.one_of(
+    st.lists(CATALOG_ENTRY, max_size=3).map(json.dumps),
+    st.sampled_from(["", "{}", "[1]", "[", '{"braid": "2: 1"}']),
+)
+
+
+@st.composite
+def argvs(draw, catalog_path):
+    """A command with each of its options missing one time in ten and
+    malformed one time in ten, some of its flags, and now and then a flag
+    it does not take."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for opt, (good, bad) in OPTIONS[command].items():
+        kind = draw(st.sampled_from(["good"] * 8 + ["bad", "missing"]))
+        if kind != "missing":
+            argv += [opt, draw(good if kind == "good" else bad)]
+    if command == "sweep":
+        argv += ["--catalog", catalog_path]
+    for flag in draw(st.lists(st.sampled_from(FLAGS.get(command, ["--pretty"])), max_size=2)):
+        if flag == "--x":
+            argv += [flag, *draw(ELEMENT_NAMES)]
+        elif flag == "--threads":
+            argv += [flag, draw(st.one_of(numbers(-1, 2), NOT_NUMBERS))]
+        else:
+            argv.append(flag)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.append(draw(st.sampled_from(["--pretty", "--count", "--exact", "--bogus"])))
+    return argv
+
+
+def violation_reported(command, out):
+    """Whether out, the stdout of command, reports a failed identity."""
+    if command == "verify":
+        return json.loads(out)["violations"] != []
+    if command == "sweep":
+        return any(e["status"] == "violations" for e in json.loads(out)["entries"])
+    if command == "frobcheck":
+        return json.loads(out)["failures"] != []
+    return False
+
+
+class TestExitCodes:
+    def test_exit1_only_for_a_violation(self, tmp_path):
+        catalog = tmp_path / "catalog.json"
+
+        @settings(max_examples=300, deadline=None)
+        @given(data=st.data())
+        def exit_codes(data):
+            catalog.write_text(data.draw(CATALOGS))
+            argv = data.draw(argvs(str(catalog)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            if code == 1:
+                assert violation_reported(argv[0], out.getvalue()), argv
+
+        exit_codes()

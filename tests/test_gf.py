@@ -192,6 +192,28 @@ class TestArithmeticOracle:
             assert F.mul(a, b) == ref.mul(a, b)
             assert F.neg(a) == ref.neg(a)
 
+    @pytest.mark.parametrize("p", [4099, 1000003, 1000000007])
+    def test_large_prime_field_matches_polynomials(self, p):
+        # above _TABLE_CAP a prime field computes with integers mod p; the
+        # polynomial path is its reference
+        F = gf.field_make(p, 1)
+        assert F.zech is None
+        rng = random.Random(p)
+        samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(2000)]
+        for a, b in zip(samples, reversed(samples)):
+            assert F.add(a, b) == F._add_slow(a, b)
+            assert F.mul(a, b) == F._mul_slow(a, b)
+            assert F.neg(a) == F._pack([-x for x in F.coeffs(a)])
+
+    def test_large_prime_field_takes_no_polynomial_path(self, monkeypatch):
+        def no_poly(self, a, b):
+            raise AssertionError("polynomial arithmetic in a prime field")
+
+        monkeypatch.setattr(gf.FqField, "_add_slow", no_poly)
+        monkeypatch.setattr(gf.FqField, "_mul_slow", no_poly)
+        F = gf.field_make(1000000007, 1)
+        assert gf.frobenius_trace_check(F, 3, 2)["ok"]
+
     @pytest.mark.parametrize("p, e", [(2, 1), (3, 5), (101, 2)])
     def test_pow_is_repeated_mul(self, p, e):
         F = gf.field_make(p, e)

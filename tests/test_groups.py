@@ -360,6 +360,31 @@ class TestConjugacyClasses:
         assert all(len(c.members) == 1 for c in G.classes)
         assert len(G.classes) == 4
 
+    def test_commutativity_shortcut_matches_orbit_walk(self, tmp_path, monkeypatch):
+        path = tmp_path / "klein.json"
+        path.write_text(json.dumps({"mul": [[a ^ b for b in range(4)] for a in range(4)]}))
+        specs = [f"cyclic:{n}" for n in (1, 2, 7, 12)] + [f"file:{path}"]
+        nonabelian = ["symmetric:3", "quaternion:8", "dihedral:5"]
+
+        def orbit_walk(G):
+            orbits = G.orbits(G.elements(), G.elements()).items()
+            return tuple(groups.ConjClass(r, tuple(sorted(o))) for r, o in orbits)
+
+        built = {spec: groups.from_group_spec(spec) for spec in specs + nonabelian}
+        for G in built.values():
+            assert G.classes == orbit_walk(G)
+
+        # an abelian group's classes come without the orbit walk
+        def no_walk(self, members, H):
+            raise AssertionError("conjugation orbits walked")
+
+        monkeypatch.setattr(groups.FiniteGroup, "orbits", no_walk)
+        for spec in specs:
+            assert groups.from_group_spec(spec).classes == built[spec].classes
+        for spec in nonabelian:
+            with pytest.raises(AssertionError, match="orbits walked"):
+                groups.from_group_spec(spec)
+
     def test_partition_and_sorting(self):
         for G in sample_groups():
             members = sorted(g for c in G.classes for g in c.members)

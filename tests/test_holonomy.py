@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,10 +173,62 @@ def unreduced_homs(beta, G, x=None):
     return recs
 
 
+def one_level_scan(beta, G, comp, x_constraint, limit, allow_large=False):
+    """holonomy._scan with its stabilizer chain cut after the first level:
+    position p0 runs over one representative per H-orbit, every other
+    position over all its candidates, and the level-1 transversal is
+    {e: e}.  The reference that the two-level chain is tested against."""
+    holonomy.check_search_space(G, comp, x_constraint, allow_large)
+    cands = holonomy._candidate_sets(G, comp, x_constraint)
+    if x_constraint is None:
+        H = G.elements()
+    else:
+        H = set.intersection(*(set(G.centralizer(xt)) for xt in x_constraint))
+    p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
+    trans = G.orbits(cands[p0], H)
+    cands[p0] = list(trans)
+    for a in itertools.product(*cands):
+        b = a
+        for L in range(1, limit + 1):
+            b = holonomy.artin_action(beta, b, G)
+            if b == a:
+                yield a, L, trans[a[p0]], {G.id: G.id}
+                break
+
+
+def one_level_homs(beta, G, x=None):
+    with mock.patch.object(holonomy, "_scan", one_level_scan):
+        return holonomy.enumerate_homs(beta, G, x_constraint=x)
+
+
+def periodic_weights(beta, G, x, p, k, scan=None):
+    """periodic_scan's weights summed per (big, small), through the one-level
+    reference scan when scan is given."""
+    with mock.patch.object(holonomy, "_scan", scan or holonomy._scan):
+        weights = Counter()
+        for w, big, small in holonomy.periodic_scan(beta, G, x, p, k):
+            weights[big, small] += w
+        return weights
+
+
+# groups of order at most 24, one with its identity last, so that H does
+# not start with it
+s3 = groups.symmetric(3)
+CHAIN_GROUPS = [
+    groups.cyclic(5),
+    groups.cyclic(6),
+    groups.dihedral(4),
+    groups.dihedral(6),
+    groups.quaternion8(),
+    s3,
+    relabelled(s3, list(reversed(s3.elements()))),
+    groups.symmetric(4),
+]
+
+
 class TestOrbitReduction:
     def test_matches_unreduced_scan(self):
         rng = random.Random(19)
-        s3 = groups.symmetric(3)
         pool = [
             s3,
             groups.quaternion8(),
@@ -206,15 +260,63 @@ class TestOrbitReduction:
                     covered.add("H < G with orbits at p0")
                 if n > 1 and p0 > 0:
                     covered.add("several components, p0 > 0")
-                assert holonomy.enumerate_homs(b, G, x_constraint=x) == unreduced_homs(
-                    b, G, x
-                )
-            assert holonomy.enumerate_homs(b, G) == unreduced_homs(b, G)
+                if holonomy._reduced_candidates(G, comp, x)[2] is not None:
+                    covered.add("two levels")
+                recs = holonomy.enumerate_homs(b, G, x_constraint=x)
+                assert recs == one_level_homs(b, G, x) == unreduced_homs(b, G, x)
+            recs = holonomy.enumerate_homs(b, G)
+            assert recs == one_level_homs(b, G) == unreduced_homs(b, G)
         assert covered == {
             "H = G",
             "H < G with orbits at p0",
             "several components, p0 > 0",
+            "two levels",
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_chain_matches_one_level_and_unreduced(self, data):
+        G = data.draw(st.sampled_from(CHAIN_GROUPS))
+        m = data.draw(st.integers(2, 4 if G.order**4 <= 24**3 else 3))
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=6))
+        b = braids.BraidWord(m, tuple(letters))
+        comp = braids.components(b)
+        x = tuple(data.draw(st.sampled_from(G.elements())) for _ in comp.cycles)
+        xc = data.draw(st.sampled_from((None, x)))
+        recs = holonomy.enumerate_homs(b, G, x_constraint=xc)
+        assert recs == one_level_homs(b, G, xc) == unreduced_homs(b, G, xc)
+
+        p = data.draw(
+            st.sampled_from([p for p in (2, 3, 5) if all(len(c) % p for c in comp.cycles)])
+        )
+        k = data.draw(st.integers(1, 2))
+        assert periodic_weights(b, G, x, p, k) == periodic_weights(
+            b, G, x, p, k, one_level_scan
+        )
+
+    @pytest.mark.parametrize(
+        "braid, p, k, gspec",
+        [
+            ("3: 1 1 -2", 7, 1, "symmetric:5"),
+            ("3: 1 2", 7, 2, "symmetric:5"),
+            ("3: 1 1 -2", 3, 2, "dihedral:5"),
+            ("4: 2 -1 2 2 1 3 3 3", 5, 1, "symmetric:3"),
+            ("3: 1 -2 1 -2", 7, 1, "symmetric:4"),
+        ],
+    )
+    def test_periodic_weights_match_one_level(self, braid, p, k, gspec):
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
+        n = braids.components(b).count
+        for x in dw.x_tuples(G, n, "representatives"):
+            assert periodic_weights(b, G, x, p, k) == periodic_weights(
+                b, G, x, p, k, one_level_scan
+            )
+
+    def test_s6_count(self):
+        # 648,720 representatives scanned, against 5,702,400 at one level
+        b = braids.parse_braid("3: 1 -2 1 -2")
+        assert holonomy.count_homs(b, groups.symmetric(6)) == 10080
 
 
 class TestSearchSpace:
