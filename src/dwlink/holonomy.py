@@ -27,7 +27,8 @@ to h0^-1 b[p1] h0.  So a stands for |T0| |T1| fixed tuples.  These are
 the first two steps of a stabilizer chain (Butler, *Fundamental Algorithms
 for Permutation Groups*, LNCS 559; McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998); without a second position with more
-than one candidate the chain has the one level p0.
+than one candidate, or when H is central in G and so fixes every
+candidate (as in an abelian group), the chain has the one level p0.
 The one loop over these representatives is _scan, which walks the braid
 orbit of each a for a bounded number of steps.  enumerate_homs takes the a
 back after one step and expands each one over its two transversals; the
@@ -191,8 +192,9 @@ def check_search_space(
 def _reduced_candidates(G, comp, x_constraint, allow_large=False):
     """The stabilizer chain of the scan (see the module docstring): the
     candidate sets, p0, p1 (None without a second position with more than
-    one candidate), H, and the H-orbit transversals at p0.  The caller cuts
-    positions p0 and p1 per representative."""
+    one candidate, or when H is central in G), H, and the H-orbit
+    transversals at p0.  The caller cuts positions p0 and p1 per
+    representative."""
     check_search_space(G, comp, x_constraint, allow_large)
     cands = _candidate_sets(G, comp, x_constraint)
     if x_constraint is None:
@@ -202,6 +204,9 @@ def _reduced_candidates(G, comp, x_constraint, allow_large=False):
     multi = [p for p, c in enumerate(cands) if len(c) > 1]
     p0 = multi[0] if multi else 0
     p1 = multi[1] if len(multi) > 1 else None
+    # a central H fixes every candidate, so it leaves nothing to split at p1
+    if p1 is not None and all(len(G.classes[G.class_of[h]].members) == 1 for h in H):
+        p1 = None
     return cands, p0, p1, H, G.orbits(cands[p0], H)
 
 
@@ -212,18 +217,29 @@ def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
     steps, in lexicographic order of a.  t0 maps each member c of the
     H-orbit of r = a[p0] to the h with h r h^-1 = c; t1 maps each member c
     of the Cen_H(r)-orbit of a[p1] to the h with h a[p1] h^-1 = c, and is
-    {e: e} when the chain has one level."""
+    {e: e} when the chain has one level.
+
+    Splitting p1 costs (number of orbits) |Cen_H(r)| conjugations, and it
+    saves scanned tuples only where Cen_H(r) moves candidates at p1.  So p1
+    is split once per distinct Cen_H(r): in a dihedral group every
+    non-central rotation has the same one."""
     cands, p0, p1, H, trans0 = _reduced_candidates(
         G, comp, x_constraint, allow_large
     )
     letters, mul, inv = beta.letters, G.table, G.inv
-    level1 = cands[p1] if p1 is not None else None
     trivial = {G.id: G.id}
+    if p1 is not None:
+        level1 = cands[p1]
+        # Cen_H(r) -> its orbits on level1; where Cen_H(r) = H and p1 has
+        # p0's candidates, those are the orbits at p0
+        split = {tuple(sorted(H)): trans0} if level1 == cands[p0] else {}
     for r, t0 in trans0.items():
         cands[p0] = (r,)
         if p1 is not None:
-            stabilizer = [h for h in H if mul[mul[h][r]][inv[h]] == r]
-            trans1 = G.orbits(level1, stabilizer)
+            stabilizer = tuple(filter(H.__contains__, G.centralizer(r)))
+            trans1 = split.get(stabilizer)
+            if trans1 is None:
+                trans1 = split[stabilizer] = G.orbits(level1, stabilizer)
             cands[p1] = list(trans1)
         for a in itertools.product(*cands):
             b = _act(letters, list(a), mul, inv)

@@ -313,6 +313,27 @@ class TestOrbitReduction:
                 b, G, x, p, k, one_level_scan
             )
 
+    @pytest.mark.parametrize(
+        "G, splits",
+        [
+            # H = G is central: one level, the split at p0 only
+            (groups.cyclic(40), 1),
+            # p0, then Cen(rotation) once for all 9 non-central rotation
+            # representatives and Cen(s), Cen(s r) for the two reflection
+            # classes; Cen(e) = Cen(r^10) = G reuses the split at p0
+            (groups.dihedral(20), 4),
+        ],
+    )
+    def test_one_split_per_stabilizer(self, G, splits):
+        b = braids.parse_braid("2: 1")
+        comp = braids.components(b)
+        abelian = len(G.classes) == G.order
+        assert (holonomy._reduced_candidates(G, comp, None)[2] is None) == abelian
+        with mock.patch.object(G, "orbits", wraps=G.orbits) as orbits:
+            recs = holonomy.enumerate_homs(b, G)
+        assert orbits.call_count == splits
+        assert recs == unreduced_homs(b, G)
+
     def test_s6_count(self):
         # 648,720 representatives scanned, against 5,702,400 at one level
         b = braids.parse_braid("3: 1 -2 1 -2")
