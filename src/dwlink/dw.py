@@ -117,12 +117,13 @@ def x_tuples(G: FiniteGroup, n: int, scope: str):
 def checked_x_tuples(G: FiniteGroup, comp: ComponentData, scope: str):
     """x_tuples for the closure of comp, once the sweep is known to fit:
     at most SEARCH_CAP tuples (each costs at least one scanned candidate),
-    and no tuple's search space over SEARCH_CAP.  Checked before any x is
-    scanned."""
+    and no tuple's search space over SEARCH_CAP, checked through the largest
+    before any x is scanned: the space at x is the product over components
+    of |C(x_t)|^(|c_t| - 1), largest at a largest class C(x_t) for every t."""
     pool = _x_pool(G, scope)
     check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
-    for x in x_tuples(G, comp.count, scope):
-        check_search_space(G, comp, x)
+    largest = max(G.classes, key=lambda c: len(c.members)).representative
+    check_search_space(G, comp, (largest,) * comp.count)
     return x_tuples(G, comp.count, scope)
 
 

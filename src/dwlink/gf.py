@@ -85,8 +85,14 @@ def _digits(n, p, e):
 
 
 def _smallest_irreducible(p, e):
-    # candidates in the order of their code n, constant term least significant
-    for n in range(p**e):
+    # candidates by code n, constant term least significant; the codes below
+    # p, the binomials x^e + c, are all reducible when e >= 2 and a prime
+    # factor of e does not divide p - 1, or 4 | e and p != 1 mod 4 (Lidl and
+    # Niederreiter, *Finite Fields*, Theorem 3.75)
+    skip = e >= 2 and (
+        any((p - 1) % r for r in prime_factors(e)) or (e % 4 == 0 and p % 4 != 1)
+    )
+    for n in range(p if skip else 0, p**e):
         coeffs = [*_digits(n, p, e), 1]
         if _is_irreducible(coeffs, p):
             return coeffs

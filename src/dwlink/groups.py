@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import eq, itemgetter
 
 from .braids import cycles_of
@@ -54,25 +54,18 @@ class FiniteGroup:
         n = len(mul)
         if n == 0:
             raise BadShape("empty multiplication table")
-        # whole-table scans at C speed; a table that fails them is walked
-        # row by row to name the first offending entry
-        if not (
-            set(map(len, mul)) == {n}
+        # row by row, so an error names the first offending row's entry
+        for row in mul:
+            if len(row) != n:
+                raise BadShape("multiplication table is not square")
             # exact type: rejects floats such as 0.0 and bools
-            and set(map(type, chain.from_iterable(mul))) == {int}
-            and min(chain.from_iterable(mul)) >= 0
-            and max(chain.from_iterable(mul)) < n
-        ):
-            for row in mul:
-                if len(row) != n:
-                    raise BadShape("multiplication table is not square")
-                if set(map(type, row)) != {int}:
-                    v = next(v for v in row if type(v) is not int)
-                    raise BadShape(f"table entry {v!r} is not an integer")
-                lo, hi = min(row), max(row)
-                if lo < 0 or hi >= n:
-                    v = lo if lo < 0 else hi
-                    raise BadShape(f"table entry {v} out of range for order {n}")
+            if set(map(type, row)) != {int}:
+                v = next(v for v in row if type(v) is not int)
+                raise BadShape(f"table entry {v!r} is not an integer")
+            lo, hi = min(row), max(row)
+            if lo < 0 or hi >= n:
+                v = lo if lo < 0 else hi
+                raise BadShape(f"table entry {v} out of range for order {n}")
         self.order = n
         self.table = mul
         self.name = name

@@ -321,10 +321,9 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     exponents are taken mod |G|, and p^k itself is never formed."""
     comp = components(beta)
     mul, order = G.table, G.order
-    # an f-orbit lies in G^m, so no walk needs more steps than |G|^m; for a
-    # k with p^k > 2^k > |G|^m this bound also spares forming p^k
-    span = order**beta.strands
-    limit = span if k >= span.bit_length() else min(p**k, span)
+    # an f-orbit lies in G^m, so every walk returns within |G|^m < 2^b <= p^b
+    # steps, b the bit length of |G|^m: capping k at b spares forming p^k
+    limit = p ** min(k, (order**beta.strands).bit_length())
     q = pow(p, k, order)
     frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
     frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]

@@ -334,6 +334,19 @@ class TestFrobcheck:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_large_prime_cubic_field(self):
+        # no x^3 + c is irreducible for p = 2 mod 3, and the modulus search
+        # skips those p candidates
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dwlink", "frobcheck",
+             "-p", "1000000007", "-e", "3", "-n", "3", "--trials", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["ok"] is True
+
     def test_dimension_over_work_cap_exit3(self, capsys, monkeypatch):
         # 10^15 entry products per trial: refused before any matrix is drawn
         def no_draw(field, dim, rng):

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwlink import braids, dw, groups, holonomy
-from dwlink.errors import HNotInCentralizer
+from dwlink.errors import HNotInCentralizer, SearchTooLarge
 
 
 class TestDwExact:
@@ -144,3 +145,54 @@ class TestDwTable:
         assert obj["group"] == "cyclic:2"
         for e in obj["entries"]:
             assert set(e) == {"x", "h_class_reps", "count"}
+
+
+# groups of order at most 24, with and without large classes
+CAP_GROUPS = [
+    groups.cyclic(1), groups.cyclic(6), groups.dihedral(3), groups.dihedral(4),
+    groups.quaternion8(), groups.dihedral(12), groups.symmetric(4),
+]
+
+
+def per_tuple_check(G, comp, scope):
+    """The sweep check as a loop over every meridian tuple: the reference
+    for checked_x_tuples."""
+    pool = dw._x_pool(G, scope)
+    holonomy.check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
+    for x in dw.x_tuples(G, comp.count, scope):
+        holonomy.check_search_space(G, comp, x)
+
+
+def refuses(check, *args):
+    try:
+        check(*args)
+    except SearchTooLarge:
+        return True
+    return False
+
+
+class TestCheckedXTuples:
+    def test_largest_tuple_decides(self, monkeypatch):
+        @settings(max_examples=150, deadline=None)
+        @given(data=st.data())
+        def same_refusals(data):
+            G = data.draw(st.sampled_from(CAP_GROUPS))
+            scope = data.draw(st.sampled_from(["representatives", "all"]))
+            m = data.draw(st.integers(1, 6))
+            letters = []
+            if m > 1:
+                alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+                letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=8))
+            comp = braids.components(braids.BraidWord(m, tuple(letters)))
+            # the largest per-tuple search space: its factors are independent
+            top = max(len(c.members) for c in G.classes)
+            largest = 1
+            for cyc in comp.cycles:
+                largest *= top ** (len(cyc) - 1)
+            for cap in (largest, largest - 1):
+                monkeypatch.setattr(holonomy, "SEARCH_CAP", cap)
+                assert refuses(dw.checked_x_tuples, G, comp, scope) == refuses(
+                    per_tuple_check, G, comp, scope
+                )
+
+        same_refusals()

@@ -76,6 +76,25 @@ class TestIrreducibility:
         monkeypatch.setattr(gf, "_is_irreducible", trial_division_irreducible)
         assert [gf._smallest_irreducible(p, e) for p, e in grid] == fast
 
+    def test_binomial_skip_keeps_every_modulus(self):
+        def plain_search(p, e):
+            # every code from 0, binomials x^e + c included
+            for n in range(p**e):
+                coeffs = [*gf._digits(n, p, e), 1]
+                if gf._is_irreducible(coeffs, p):
+                    return coeffs
+
+        grid = [
+            (p, e)
+            for p in range(2, 200)
+            if is_prime(p)
+            for e in range(1, 9)
+            if e <= 4 or p**e <= 10**7
+        ]
+        assert len(grid) == 207
+        for p, e in grid:
+            assert gf._smallest_irreducible(p, e) == plain_search(p, e), (p, e)
+
     def test_large_prime_candidates_are_not_materialised(self):
         # the answer x^2 + 1 is the second candidate; the search must not
         # build a p-element sequence to get there

@@ -242,8 +242,8 @@ class TestTablesAgainstReference:
 
 
 class TestTableChecks:
-    """A table that fails the whole-table check is refused with the message
-    of its first offending row, as when every row was checked in turn."""
+    """A table is checked row by row, and refused with the message of its
+    first offending row."""
 
     @pytest.mark.parametrize(
         "table, message",
