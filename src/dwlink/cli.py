@@ -248,10 +248,9 @@ def main(argv=None) -> int:
         # a bare MemoryError carries no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    # a JSONDecodeError is a ValueError; a RecursionError comes from JSON
+    # nested deeper than the interpreter's recursion limit
+    except (InputError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -131,12 +131,12 @@ def verify(
     beta^(p^k) at [h^(p^k)], mod p.
 
     [h] -> [h^(p^k)] permutes the classes of each Cen(x_t), since p does not
-    divide |G|, and h -> h^r with r p^k = 1 mod |G| inverts it.  So only the
+    divide |G|, and [g] -> [g^r] with r p^k = 1 mod |G| inverts it.  So the
+    periodic side's count at [g] is re-keyed once, to [g^r], and only the
     [h] counted on some side are compared: every other case reads 0 = 0.
     cases_checked still counts every [h], as the product over t of the
     number of classes of Cen(x_t), summed over x."""
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
-    q = pow(p, k, G.order)  # h^|G| = e, so h^(p^k) = h^q
     r = pow(p, -k, G.order)
     comp = components(beta)
     report = CongruenceReport(instance, comp.count)
@@ -144,13 +144,12 @@ def verify(
         lhs, rhs = class_counts(instance, x)
         reps = [G.cen_class_reps(xt) for xt in x]
         report.cases_checked += math.prod(len(set(rep.values())) for rep in reps)
-        # the [h] with [h^q] counted on the periodic side, and those counted
-        # on the quotient side
-        hs = {tuple(rep[G.power(g, r)] for rep, g in zip(reps, key)) for key in lhs}
-        for h in hs.union(rhs):
-            rhs_count = rhs[h]
-            hp = (G.power(ht, q) for ht in h)
-            lhs_count = lhs[tuple(rep[e] for rep, e in zip(reps, hp))]
+        lhs = {
+            tuple(rep[G.power(g, r)] for rep, g in zip(reps, key)): count
+            for key, count in lhs.items()
+        }
+        for h in lhs.keys() | rhs.keys():
+            lhs_count, rhs_count = lhs.get(h, 0), rhs[h]
             if (lhs_count - rhs_count) % p != 0:
                 report.violations.append(
                     Violation(x, h, lhs_count, rhs_count)

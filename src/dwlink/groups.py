@@ -2,15 +2,16 @@
 
 Elements are dense indices 0..order-1.  For groups built from generators the
 ordering is breadth-first discovery order with index 0 the identity; for
-groups built from an explicit table the table order is kept and the identity
-is located; an explicit table must be a Latin square that passes Light's
-associativity test, which is exact.  Conjugation orbits are split by one
-routine, FiniteGroup.orbits.  Conjugacy classes are computed at
-construction; a centralizer Cen(x) is scanned from the table when asked
-for.  The partition of Cen(x) into its own conjugacy classes is built
-lazily, once per x, as a table from each member to its class representative
-(FiniteGroup.cen_class_reps); the counting and congruence loops look
-classes up there, and its keys are Cen(x).
+groups built from an explicit table the table order is kept.  An explicit
+table must be a Latin square that passes Light's associativity test, which
+is exact, so it is a group; its identity and inverses are read off the
+table.  Conjugation orbits are split by one routine, FiniteGroup.orbits.
+Conjugacy classes are computed at construction; a centralizer Cen(x) is
+scanned from the table when asked for.  The partition of Cen(x) into its
+own conjugacy classes is built lazily, once per x, as a table from each
+member to its class representative (FiniteGroup.cen_class_reps); the
+counting and congruence loops look classes up there, and its keys are
+Cen(x).
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ class ConjClass:
 
 
 class FiniteGroup:
-    """Immutable finite group backed by an order x order multiplication table."""
+    """Immutable finite group backed by an order x order multiplication table.
+
+    validate=True checks that the table is an associative Latin square,
+    hence a group (Bruck, A Survey of Binary Systems, ch. I); validate=False
+    means the caller vouches that it is one.  In a group 0 e = 0 only for the
+    identity e, and g h = e only for h = g^-1, so both are looked up."""
 
     def __init__(self, mul, names=None, name: str = "group", validate: bool = True):
         try:
@@ -85,8 +91,8 @@ class FiniteGroup:
 
         if validate:
             self._validate()
-        self.id = self._find_identity()
-        self.inv = self._find_inverses()
+        self.id = e = mul[0].index(0)
+        self.inv = tuple(row.index(e) for row in mul)
         self.classes = self._conjugacy_classes()
         self.class_of = [0] * n
         for ci, cl in enumerate(self.classes):
@@ -135,24 +141,6 @@ class FiniteGroup:
                 new = {row[h] for h in gens} - reached
                 reached |= new
                 todo += new
-
-    def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self.table[e][g] == g and self.table[g][e] == g for g in range(n)):
-                return e
-        raise NotAGroup("no two-sided identity")
-
-    def _find_inverses(self):
-        e, mul = self.id, self.table
-        inv = []
-        for g, row in enumerate(mul):
-            # the identity's place in row g is g's only candidate right inverse
-            h = row.index(e) if e in row else None
-            if h is None or mul[h][g] != e:
-                raise NotAGroup(f"element {g} has no two-sided inverse")
-            inv.append(h)
-        return tuple(inv)
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -287,9 +275,13 @@ def from_permutation_generators(
 ) -> FiniteGroup:
     """Close the generators under composition (breadth-first) and build the
     Cayley table of the generated group.  Element 0 is the identity.  More
-    than ORDER_CAP elements raise GroupTooLarge."""
+    than ORDER_CAP elements, or a degree above ORDER_CAP, raise
+    GroupTooLarge; so the elements hold at most ORDER_CAP^2 points, as one
+    table at the cap does."""
     if degree < 1:
         raise BadPermutation("degree must be positive")
+    if degree > ORDER_CAP:
+        raise GroupTooLarge(f"permutation degree {degree} exceeds cap of {ORDER_CAP}")
     gens = [_cycles_to_perm(degree, g) for g in generators]
     ident = tuple(range(degree))
     elems = [ident]

@@ -90,6 +90,19 @@ class TestFileGroup:
         assert main(["group-info", "--group", spec]) == 2
         assert "witness" in capsys.readouterr().err
 
+    def test_nested_beyond_recursion_limit_exit2(self, capsys, tmp_path):
+        # json.load raises RecursionError on this; as a sweep entry's group
+        # it is an "error" entry, so both exit 2
+        path = tmp_path / "group.json"
+        path.write_text('{"mul": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["group-info", "--group", f"file:{path}"]) == 2
+        assert "recursion" in capsys.readouterr().err
+        catalog = tmp_path / "catalog.json"
+        entry = {"braid": "2: 1", "p": 3, "k": 1, "group": f"file:{path}"}
+        catalog.write_text(json.dumps([entry]))
+        code, out = run(capsys, "sweep", "--catalog", str(catalog))
+        assert (code, json.loads(out)["entries"][0]["status"]) == (2, "error")
+
     def test_duplicate_names_exit2(self, capsys, tmp_path):
         spec = _file_group(tmp_path, {"mul": [[0, 1], [1, 0]], "names": ["a", "a"]})
         assert main(["homs", "--braid", "2: 1", "--group", spec, "--x", "a"]) == 2
@@ -252,6 +265,11 @@ class TestSweep:
     def test_missing_file(self, capsys):
         assert main(["sweep", "--catalog", "/nonexistent.json"]) == 2
 
+    def test_nested_beyond_recursion_limit_exit2(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["sweep", "--catalog", str(path)]) == 2
+
     def test_resource_limit_exit3(self, capsys, tmp_path):
         # symmetric:9 is over the group order cap; verify exits 3 on it
         over_cap = {"braid": "2: 1", "p": 3, "k": 1, "group": "symmetric:9"}
@@ -299,6 +317,10 @@ class TestRefusedBeforeWork:
             # 2^30 meridian tuples, each with a search space of 1
             (["verify", "--braid", "30:", "--group", "cyclic:2", "-p", "3", "-k", "1"],
              "sweep of 1073741824 meridian tuples exceeds cap 1000000000"),
+            # the trivial group of degree 10^7, refused before its identity
+            # permutation is built
+            (["group-info", "--group", "perm:10000000:"],
+             "permutation degree 10000000 exceeds cap of 10000"),
             # 120^2100 has more decimal digits than Python prints
             (["homs", "--braid", "2100:", "--group", "symmetric:5", "--count"],
              "search space of at least 2^14504 candidates exceeds cap 1000000000"),
@@ -483,7 +505,7 @@ CATALOG_ENTRY = st.dictionaries(
 )
 CATALOGS = st.one_of(
     st.lists(CATALOG_ENTRY, max_size=3).map(json.dumps),
-    st.sampled_from(["", "{}", "[1]", "[", '{"braid": "2: 1"}']),
+    st.sampled_from(["", "{}", "[1]", "[", '{"braid": "2: 1"}', "[" * 100000]),
 )
 
 

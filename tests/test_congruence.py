@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -393,6 +394,31 @@ def _dense_verify(inst, x_scope="representatives"):
     return report
 
 
+def _forward_map_verify(inst, x_scope="representatives"):
+    """verify's report from mapping each compared [h] forward to [h^q],
+    q = p^k mod |G|, at the periodic side's keys.  The reference that
+    verify's one re-keying of the periodic side is tested against."""
+    G, p = inst.group, inst.p
+    q = pow(p, inst.k, G.order)
+    r = pow(p, -inst.k, G.order)
+    n = braids.components(inst.beta).count
+    report = congruence.CongruenceReport(inst, n)
+    for x in dw.x_tuples(G, n, x_scope):
+        lhs, rhs = congruence.class_counts(inst, x)
+        reps = [G.cen_class_reps(xt) for xt in x]
+        report.cases_checked += math.prod(len(set(rep.values())) for rep in reps)
+        hs = {tuple(rep[G.power(g, r)] for rep, g in zip(reps, key)) for key in lhs}
+        for h in hs.union(rhs):
+            hp = (G.power(ht, q) for ht in h)
+            lhs_count = lhs[tuple(rep[e] for rep, e in zip(reps, hp))]
+            if (lhs_count - rhs[h]) % p != 0:
+                report.violations.append(
+                    congruence.Violation(x, h, lhs_count, rhs[h])
+                )
+    report.violations.sort(key=lambda v: (v.x, v.hclass))
+    return report
+
+
 # instances that exit 1 today (see README, Known issues)
 VIOLATING_INSTANCES = [
     ("3: 1 1 -2", 3, 1, "dihedral:5"),
@@ -419,6 +445,36 @@ class TestCaseLoop:
         inst = make("3: 1 1 -2", 3, 1, "dihedral:5")
         report = congruence.verify(inst, x_scope="all")
         assert report.to_json_obj() == _dense_verify(inst, "all").to_json_obj()
+
+    def test_matches_forward_map_property(self):
+        violating = []
+
+        @settings(max_examples=120)
+        @given(data=st.data())
+        @example(data=None)
+        def same_report(data):
+            if data is None:  # the D5 instance with violations
+                inst, scope = make(*VIOLATING_INSTANCES[0]), "representatives"
+            else:
+                G, p = data.draw(st.sampled_from(PROPERTY_CASES))
+                k = data.draw(st.integers(1, 3))
+                m = data.draw(st.integers(1, 3))
+                alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+                letters = (
+                    data.draw(st.lists(st.sampled_from(alphabet), max_size=5))
+                    if alphabet else []
+                )
+                beta = braids.BraidWord(m, tuple(letters))
+                assume(all(len(c) % p for c in braids.components(beta).cycles))
+                inst = congruence.check_preconditions(beta, p, k, G)
+                scope = data.draw(st.sampled_from(["representatives", "all"]))
+            report = congruence.verify(inst, scope)
+            expected = _forward_map_verify(inst, scope)
+            assert report.to_json_obj() == expected.to_json_obj()
+            violating.append(not report.ok)
+
+        same_report()
+        assert any(violating)
 
     def test_cases_are_counted_not_visited(self):
         # 7 x per component, whose centralizers have 7, 11 and 2 classes:

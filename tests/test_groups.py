@@ -107,11 +107,52 @@ class TestFromPermutationGenerators:
         assert groups.from_permutation_generators(
             5, [[(1, 2)], [(1, 2, 3, 4, 5)]]
         ).order == 120
+        # the degree is capped too, before any permutation is built
+        assert groups.from_permutation_generators(120, []).order == 1
+        with pytest.raises(GroupTooLarge, match="degree 121 exceeds cap of 120"):
+            groups.from_permutation_generators(121, [])
 
     def test_generated_groups_pass_validation(self):
         for G in sample_groups():
             # re-validate the table through the checking constructor
             groups.FiniteGroup(G.table, names=G.names, validate=True)
+
+
+def searched_identity(mul):
+    """The two-sided identity found by trying every element."""
+    n = len(mul)
+    return next(
+        e for e in range(n) if all(mul[e][g] == g == mul[g][e] for g in range(n))
+    )
+
+
+def searched_inverses(mul, e):
+    """Each element's two-sided inverse, found at the identity's place in
+    its row and checked on the other side."""
+    inv = []
+    for g, row in enumerate(mul):
+        h = row.index(e)
+        assert mul[h][g] == e
+        inv.append(h)
+    return tuple(inv)
+
+
+class TestIdentityAndInverses:
+    """The identity and inverses are looked up in the checked table; they
+    equal a two-sided search over it."""
+
+    @settings(max_examples=100)
+    @given(G=st.sampled_from(sample_groups()), data=st.data())
+    def test_lookup_matches_search_on_relabelled_tables(self, G, data):
+        perm = data.draw(st.permutations(range(G.order)))
+        mul = [[0] * G.order for _ in range(G.order)]
+        for a in G.elements():
+            for b in G.elements():
+                mul[perm[a]][perm[b]] = perm[G.table[a][b]]
+        R = groups.from_cayley_table(mul)
+        e = searched_identity(mul)
+        assert (R.id, R.inv) == (e, searched_inverses(mul, e))
+        assert R.id == perm[G.id]
 
 
 def reference_closure(degree, generators):
