@@ -317,13 +317,13 @@ class TestRefusedBeforeWork:
             # 2^30 meridian tuples, each with a search space of 1
             (["verify", "--braid", "30:", "--group", "cyclic:2", "-p", "3", "-k", "1"],
              "sweep of 1073741824 meridian tuples exceeds cap 1000000000"),
+            # 120^2100 has more decimal digits than Python prints
+            (["homs", "--braid", "2100:", "--group", "symmetric:5", "--count"],
+             "search space of at least 2^14504 candidates exceeds cap 1000000000"),
             # the trivial group of degree 10^7, refused before its identity
             # permutation is built
             (["group-info", "--group", "perm:10000000:"],
              "permutation degree 10000000 exceeds cap of 10000"),
-            # 120^2100 has more decimal digits than Python prints
-            (["homs", "--braid", "2100:", "--group", "symmetric:5", "--count"],
-             "search space of at least 2^14504 candidates exceeds cap 1000000000"),
         ],
     )
     def test_exit3(self, argv, message):
