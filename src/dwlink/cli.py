@@ -139,18 +139,24 @@ def cmd_sweep(args):
         catalog = json.load(fh)
     if not isinstance(catalog, list):
         raise InputError("catalog must be a JSON array")
+    # stdout echoes the entries and must stay JSON, which has no NaN or
+    # Infinity; json.load admits both, and reads 1e999 as infinity
+    try:
+        json.dumps(catalog, allow_nan=False)
+    except ValueError:
+        raise InputError("catalog holds a non-finite number") from None
     summary = congruence.sweep(catalog)
     _emit(summary.to_json_obj(), args.pretty)
-    # the codes verify uses; a violation outranks an input error, which
-    # outranks a resource limit
-    if summary.any_violation:
-        return EXIT_VIOLATION
-    statuses = {e.status for e in summary.entries}
-    if statuses & {"precondition-failed", "error"}:
-        return EXIT_INPUT
-    if "resource-limit" in statuses:
-        return EXIT_RESOURCE
-    return EXIT_OK
+    # the codes verify uses; the smallest non-zero one wins, so a violation
+    # outranks an input error, which outranks a resource limit
+    codes = {
+        "ok": EXIT_OK,
+        "violations": EXIT_VIOLATION,
+        "precondition-failed": EXIT_INPUT,
+        "error": EXIT_INPUT,
+        "resource-limit": EXIT_RESOURCE,
+    }
+    return min({codes[e.status] for e in summary.entries} - {EXIT_OK}, default=EXIT_OK)
 
 
 def cmd_frobcheck(args):

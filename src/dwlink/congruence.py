@@ -199,14 +199,18 @@ def sweep(catalog) -> SweepSummary:
     aborting on per-entry failures.
 
     Catalog entries are dicts {"braid": "m: letters", "p": int, "k": int,
-    "group": "<group spec>"}.
+    "group": "<group spec>"}; p and k must be JSON integers.
     """
     entries = []
     for spec in catalog:
         try:
             beta = parse_braid(spec["braid"])
             G = from_group_spec(spec["group"])
-            instance = check_preconditions(beta, int(spec["p"]), int(spec["k"]), G)
+            p, k = spec["p"], spec["k"]
+            # exact type, as in a file: table: no floats, bools or strings
+            if type(p) is not int or type(k) is not int:
+                raise InputError(f"p and k must be integers, got {p!r} and {k!r}")
+            instance = check_preconditions(beta, p, k, G)
             report = verify(instance)
         except (NotPrime, GroupOrderDivisible, ComponentMismatch) as exc:
             entry = SweepEntry(spec, "precondition-failed", str(exc))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .braids import BraidWord, ComponentData, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
-from .holonomy import check_search_space, check_size, enumerate_homs
+from .holonomy import candidate_sets, check_size, enumerate_homs
 
 
 def _check_lengths(n, x, h):
@@ -123,7 +123,7 @@ def checked_x_tuples(G: FiniteGroup, comp: ComponentData, scope: str):
     pool = _x_pool(G, scope)
     check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
     largest = max(G.classes, key=lambda c: len(c.members)).representative
-    check_search_space(G, comp, (largest,) * comp.count)
+    candidate_sets(G, comp, (largest,) * comp.count)
     return x_tuples(G, comp.count, scope)
 
 
@@ -136,9 +136,7 @@ def dw_table(
     table = DWTable(beta, G, comp.count, x_scope)
     for x in checked_x_tuples(G, comp, x_scope):
         recs = enumerate_homs(beta, G, x_constraint=x)
-        for r in recs:
-            key = (x, r.longitude)
-            table.exact[key] = table.exact.get(key, 0) + 1
+        table.exact.update(Counter((x, r.longitude) for r in recs))
         for reps, count in class_buckets(G, x, recs).items():
             table.by_class[(x, reps)] = count
     return table

@@ -288,23 +288,18 @@ def from_permutation_generators(
     index = {ident: 0}
     # parents[q] = (p, j): element q was found as elems[p]∘gens[j]
     parents = [None]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for pi in frontier:
-            p = elems[pi]
-            for j, g in enumerate(gens):
-                q = tuple(p[g[i]] for i in range(degree))
-                if q not in index:
-                    if len(elems) >= ORDER_CAP:
-                        raise GroupTooLarge(
-                            f"generated group exceeds cap of {ORDER_CAP} elements"
-                        )
-                    index[q] = len(elems)
-                    nxt.append(len(elems))
-                    elems.append(q)
-                    parents.append((pi, j))
-        frontier = nxt
+    # elems is walked while it grows: a queue, so breadth-first
+    for pi, p in enumerate(elems):
+        for j, g in enumerate(gens):
+            q = tuple(p[g[i]] for i in range(degree))
+            if q not in index:
+                if len(elems) >= ORDER_CAP:
+                    raise GroupTooLarge(
+                        f"generated group exceeds cap of {ORDER_CAP} elements"
+                    )
+                index[q] = len(elems)
+                elems.append(q)
+                parents.append((pi, j))
     n = len(elems)
     if n == 1:  # only the identity; itemgetter(i) would return a bare item
         table = [(0,)]

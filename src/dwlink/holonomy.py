@@ -147,10 +147,12 @@ def longitude_image(
     return G.table[acc][G.power(meridian, -comp.self_writhe[t])]
 
 
-def _candidate_sets(G, comp, x_constraint):
+def candidate_sets(G, comp, x_constraint=None, allow_large=False):
     """Per-position candidate sequences, pruned by conjugacy when meridian
     images are prescribed.  Positions with the same candidates share one
-    sequence; callers replace entries of the outer list, never edit one."""
+    sequence; callers replace entries of the outer list, never edit one.
+    Raise SearchTooLarge when their product, the unreduced candidate space,
+    exceeds SEARCH_CAP, unless allow_large."""
     cands = [G.elements()] * sum(map(len, comp.cycles))
     if x_constraint is not None:
         if len(x_constraint) != comp.count:
@@ -162,6 +164,11 @@ def _candidate_sets(G, comp, x_constraint):
             cls = G.classes[G.class_of[x]].members
             for p in cyc:
                 cands[p] = (x,) if p == comp.basepoints[t] else cls
+    # one power per distinct length: multiplying the m lengths one at a
+    # time is quadratic in m once the product is large
+    lengths = Counter(map(len, cands))
+    size = math.prod(n**e for n, e in lengths.items())
+    check_size(size, "search space of {} candidates", allow_large)
     return cands
 
 
@@ -177,26 +184,13 @@ def check_size(size: int, what: str, allow_large: bool = False) -> None:
     raise SearchTooLarge(what.format(shown) + f" exceeds cap {SEARCH_CAP}")
 
 
-def check_search_space(
-    G: FiniteGroup, comp: ComponentData, x_constraint=None, allow_large=False
-) -> None:
-    """Raise SearchTooLarge when the unreduced candidate space of
-    _candidate_sets exceeds SEARCH_CAP, unless allow_large."""
-    # one power per distinct length: multiplying the m lengths one at a
-    # time is quadratic in m once the product is large
-    lengths = Counter(map(len, _candidate_sets(G, comp, x_constraint)))
-    size = math.prod(n**e for n, e in lengths.items())
-    check_size(size, "search space of {} candidates", allow_large)
-
-
 def _reduced_candidates(G, comp, x_constraint, allow_large=False):
     """The stabilizer chain of the scan (see the module docstring): the
     candidate sets, p0, p1 (None without a second position with more than
     one candidate, or when H is central in G), H, and the H-orbit
     transversals at p0.  The caller cuts positions p0 and p1 per
     representative."""
-    check_search_space(G, comp, x_constraint, allow_large)
-    cands = _candidate_sets(G, comp, x_constraint)
+    cands = candidate_sets(G, comp, x_constraint, allow_large)
     if x_constraint is None:
         H = G.elements()
     else:

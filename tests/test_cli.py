@@ -270,6 +270,30 @@ class TestSweep:
         path.write_text("[" * 100000 + "]" * 100000)
         assert main(["sweep", "--catalog", str(path)]) == 2
 
+    # p and k must be JSON integers, as the entries of a file: table must
+    @pytest.mark.parametrize(
+        "p, k",
+        [(3.7, 1.9), ("3", 1), (3, True), (3.0, 1)],
+        ids=["floats", "string-p", "bool-k", "float-p"],
+    )
+    def test_p_k_not_integers_exit2(self, capsys, tmp_path, p, k):
+        path = tmp_path / "catalog.json"
+        entry = {"braid": "2: 1", "p": p, "k": k, "group": "cyclic:2"}
+        path.write_text(json.dumps([entry]))
+        code, out = run(capsys, "sweep", "--catalog", str(path))
+        assert code == 2
+        assert [e["status"] for e in json.loads(out)["entries"]] == ["error"]
+
+    # stdout echoes the entries and must stay JSON, which has no NaN or
+    # Infinity
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_exit2(self, capsys, tmp_path, number):
+        path = tmp_path / "catalog.json"
+        path.write_text(
+            '[{"braid": "2: 1", "p": %s, "k": 1, "group": "cyclic:2"}]' % number
+        )
+        assert run(capsys, "sweep", "--catalog", str(path)) == (2, "")
+
     def test_resource_limit_exit3(self, capsys, tmp_path):
         # symmetric:9 is over the group order cap; verify exits 3 on it
         over_cap = {"braid": "2: 1", "p": 3, "k": 1, "group": "symmetric:9"}
@@ -501,11 +525,25 @@ CATALOG_ENTRY = st.dictionaries(
     st.one_of(
         small_braids(), MALFORMED_BRAIDS, st.sampled_from(SMALL_GROUPS),
         MALFORMED_GROUPS, st.integers(-3, 13), st.none(),
+        st.sampled_from([3.7, True, "3"]),
     ),
 )
+# catalog -> the exit code of sweep on it
+FIXED_CATALOGS = {
+    "": 2,
+    "{}": 2,
+    "[1]": 2,
+    "[": 2,
+    '{"braid": "2: 1"}': 2,
+    "[" * 100000: 2,
+    '[{"braid": "2: 1", "p": 3.7, "k": 1.9, "group": "cyclic:2"}]': 2,
+    '[{"braid": "2: 1", "p": "3", "k": 1, "group": "cyclic:2"}]': 2,
+    '[{"braid": "2: 1", "p": 3, "k": true, "group": "cyclic:2"}]': 2,
+    '[{"braid": "2: 1", "p": 1e999, "k": 1, "group": "cyclic:2"}]': 2,
+}
 CATALOGS = st.one_of(
     st.lists(CATALOG_ENTRY, max_size=3).map(json.dumps),
-    st.sampled_from(["", "{}", "[1]", "[", '{"braid": "2: 1"}', "[" * 100000]),
+    st.sampled_from(list(FIXED_CATALOGS)),
 )
 
 
@@ -562,3 +600,14 @@ class TestExitCodes:
                 assert violation_reported(argv[0], out.getvalue()), argv
 
         exit_codes()
+
+    # the property meets these only when hypothesis happens to draw them
+    @pytest.mark.parametrize(
+        "text, expected", FIXED_CATALOGS.items(), ids=range(len(FIXED_CATALOGS))
+    )
+    def test_fixed_catalogs(self, tmp_path, text, expected):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["sweep", "--catalog", str(catalog)]) == expected

@@ -160,7 +160,7 @@ def per_tuple_check(G, comp, scope):
     pool = dw._x_pool(G, scope)
     holonomy.check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
     for x in dw.x_tuples(G, comp.count, scope):
-        holonomy.check_search_space(G, comp, x)
+        holonomy.candidate_sets(G, comp, x)
 
 
 def refuses(check, *args):

@@ -162,7 +162,7 @@ def unreduced_homs(beta, G, x=None):
     with its records: the scan without the conjugation reduction."""
     comp = braids.components(beta)
     recs = []
-    for a in itertools.product(*holonomy._candidate_sets(G, comp, x)):
+    for a in itertools.product(*holonomy.candidate_sets(G, comp, x)):
         if holonomy.artin_action(beta, a, G) == a:
             longitude = tuple(
                 holonomy.longitude_image(beta, a, t, G, comp=comp, check=False)
@@ -178,8 +178,7 @@ def one_level_scan(beta, G, comp, x_constraint, limit, allow_large=False):
     position p0 runs over one representative per H-orbit, every other
     position over all its candidates, and the level-1 transversal is
     {e: e}.  The reference that the two-level chain is tested against."""
-    holonomy.check_search_space(G, comp, x_constraint, allow_large)
-    cands = holonomy._candidate_sets(G, comp, x_constraint)
+    cands = holonomy.candidate_sets(G, comp, x_constraint, allow_large)
     if x_constraint is None:
         H = G.elements()
     else:
@@ -252,7 +251,7 @@ class TestOrbitReduction:
                     continue
                 x = tuple(rng.choice(pool_x) for _ in range(n))
                 H = set.intersection(*(set(G.centralizer(xt)) for xt in x))
-                cands = holonomy._candidate_sets(G, comp, x)
+                cands = holonomy.candidate_sets(G, comp, x)
                 p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
                 if len(H) == G.order:
                     covered.add("H = G")
@@ -350,14 +349,15 @@ class TestSearchSpace:
             x = tuple(rng.randrange(G.order) for _ in range(comp.count))
             for xc in (None, x):
                 size = 1
-                for c in holonomy._candidate_sets(G, comp, xc):
+                # the cap is lowered below on every pass of the loop
+                for c in holonomy.candidate_sets(G, comp, xc, allow_large=True):
                     size *= len(c)
                 monkeypatch.setattr(holonomy, "SEARCH_CAP", size)
-                holonomy.check_search_space(G, comp, xc)
+                holonomy.candidate_sets(G, comp, xc)
                 monkeypatch.setattr(holonomy, "SEARCH_CAP", size - 1)
                 with pytest.raises(SearchTooLarge):
-                    holonomy.check_search_space(G, comp, xc)
-                holonomy.check_search_space(G, comp, xc, allow_large=True)
+                    holonomy.candidate_sets(G, comp, xc)
+                holonomy.candidate_sets(G, comp, xc, allow_large=True)
 
     def test_prescribed_x_builds_no_class_table(self, monkeypatch):
         # H is scanned from the table, not read off Cen(x)'s class table
