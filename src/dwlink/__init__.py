@@ -1,53 +1,58 @@
 """Exact counting invariants of braid closures over finite groups, with a
 machine check of the mod-p congruence relating a periodic link to its
-quotient, and finite-field trace/Frobenius checks."""
+quotient, and finite-field trace/Frobenius checks.
 
-from .braids import BraidWord, braid_power, components, compose, parse_braid, permutation
-from .congruence import check_preconditions, sweep, verify
-from .dw import dw_class, dw_exact, dw_table
-from .gf import field_make, frobenius_trace_check, mat_mul, mat_pow, trace
-from .groups import (
-    FiniteGroup,
-    cyclic,
-    dihedral,
-    from_cayley_table,
-    from_group_spec,
-    from_permutation_generators,
-    quaternion8,
-    symmetric,
-)
-from .holonomy import artin_action, count_homs, enumerate_homs, longitude_image
+The public names load their home module on first use (PEP 562), so that
+`import dwlink` and each CLI command import only the modules they run.
+Each name is looked up in its module at every access, never copied here,
+so a wrapper set on the module is what `dwlink.<name>` returns."""
 
-__all__ = [
-    "BraidWord",
-    "FiniteGroup",
-    "artin_action",
-    "braid_power",
-    "check_preconditions",
-    "components",
-    "compose",
-    "count_homs",
-    "cyclic",
-    "dihedral",
-    "dw_class",
-    "dw_exact",
-    "dw_table",
-    "enumerate_homs",
-    "field_make",
-    "frobenius_trace_check",
-    "from_cayley_table",
-    "from_group_spec",
-    "from_permutation_generators",
-    "longitude_image",
-    "mat_mul",
-    "mat_pow",
-    "parse_braid",
-    "permutation",
-    "quaternion8",
-    "sweep",
-    "symmetric",
-    "trace",
-    "verify",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_HOMES = {
+    "BraidWord": "braids",
+    "braid_power": "braids",
+    "components": "braids",
+    "compose": "braids",
+    "parse_braid": "braids",
+    "permutation": "braids",
+    "check_preconditions": "congruence",
+    "sweep": "congruence",
+    "verify": "congruence",
+    "dw_class": "dw",
+    "dw_exact": "dw",
+    "dw_table": "dw",
+    "field_make": "gf",
+    "frobenius_trace_check": "gf",
+    "mat_mul": "gf",
+    "mat_pow": "gf",
+    "trace": "gf",
+    "FiniteGroup": "groups",
+    "cyclic": "groups",
+    "dihedral": "groups",
+    "from_cayley_table": "groups",
+    "from_group_spec": "groups",
+    "from_permutation_generators": "groups",
+    "quaternion8": "groups",
+    "symmetric": "groups",
+    "artin_action": "holonomy",
+    "count_homs": "holonomy",
+    "enumerate_homs": "holonomy",
+    "longitude_image": "holonomy",
+}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,26 +9,23 @@ over its neighbour; strands are oriented upward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadBraid, StrandMismatch
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: tuple[int, ...]
+class BraidWord(Frozen):
+    __slots__ = ("strands", "letters")  # int, tuple[int, ...]
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters):
+        if strands < 1:
             raise BadBraid("strand count must be at least 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if l == 0 or not (1 <= abs(l) <= self.strands - 1):
-                raise BadBraid(
-                    f"letter {l} out of range for {self.strands} strands"
-                )
+        letters = tuple(letters)
+        for l in letters:
+            if l == 0 or not (1 <= abs(l) <= strands - 1):
+                raise BadBraid(f"letter {l} out of range for {strands} strands")
+        super().__init__(strands, letters)
 
     def __str__(self):
         return f"{self.strands}: " + " ".join(str(l) for l in self.letters)
@@ -73,8 +70,7 @@ def braid_power(beta: BraidWord, n: int) -> BraidWord:
     return BraidWord(beta.strands, beta.letters * n)
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(Frozen):
     """Cycle decomposition of the closure with writhe/linking bookkeeping.
 
     cycles[t] lists the bottom positions of component t, starting at the
@@ -86,11 +82,10 @@ class ComponentData:
     read.
     """
 
-    count: int
-    cycles: tuple[tuple[int, ...], ...]
-    basepoints: tuple[int, ...]
-    self_writhe: tuple[int, ...]
-    crossings: tuple[tuple[tuple[int, int], int], ...]
+    # __dict__ holds linking once read
+    __slots__ = (
+        "count", "cycles", "basepoints", "self_writhe", "crossings", "__dict__"
+    )
 
     @cached_property
     def linking(self) -> tuple[tuple[int, ...], ...]:
@@ -147,9 +142,9 @@ def components(beta: BraidWord) -> ComponentData:
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
 
     return ComponentData(
-        count=n,
-        cycles=cycles,
-        basepoints=tuple(c[0] for c in cycles),
-        self_writhe=tuple(self_writhe),
-        crossings=tuple(sorted(crossings.items())),
+        n,  # count
+        cycles,
+        tuple(c[0] for c in cycles),  # basepoints
+        tuple(self_writhe),
+        tuple(sorted(crossings.items())),  # crossings
     )

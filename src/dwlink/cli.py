@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 
-from . import congruence, dw, gf, holonomy
+# each command imports the heavier modules it uses itself, so that a process
+# loads no module its command does not run; braids and errors are light
 from .braids import components, parse_braid, permutation
 from .errors import InputError, ResourceError
-from .groups import from_group_spec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -42,6 +42,8 @@ def _parse_x(G, x_args, n):
 
 
 def cmd_group_info(args):
+    from .groups import from_group_spec
+
     G = from_group_spec(args.group)
     out = {
         "group": G.name,
@@ -83,6 +85,9 @@ def cmd_braid_info(args):
 
 
 def cmd_homs(args):
+    from . import holonomy
+    from .groups import from_group_spec
+
     beta = parse_braid(args.braid)
     G = from_group_spec(args.group)
     n = components(beta).count
@@ -106,6 +111,9 @@ def cmd_homs(args):
 
 
 def cmd_dw(args):
+    from . import dw
+    from .groups import from_group_spec
+
     beta = parse_braid(args.braid)
     G = from_group_spec(args.group)
     scope = "all" if args.all_x else "representatives"
@@ -125,6 +133,9 @@ def cmd_dw(args):
 
 
 def cmd_verify(args):
+    from . import congruence
+    from .groups import from_group_spec
+
     beta = parse_braid(args.braid)
     G = from_group_spec(args.group)
     instance = congruence.check_preconditions(beta, args.p, args.k, G)
@@ -135,6 +146,8 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    from . import congruence
+
     with open(args.catalog) as fh:
         catalog = json.load(fh)
     if not isinstance(catalog, list):
@@ -160,6 +173,8 @@ def cmd_sweep(args):
 
 
 def cmd_frobcheck(args):
+    from . import gf
+
     field = gf.field_make(args.p, args.e)
     report = gf.frobenius_trace_check(field, args.n, args.trials, seed=args.seed)
     _emit(report, args.pretty)

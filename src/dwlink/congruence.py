@@ -18,8 +18,7 @@ never built.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from .arith import is_prime
 from .braids import BraidWord, components, parse_braid
@@ -37,28 +36,21 @@ from .groups import FiniteGroup, from_group_spec
 from .holonomy import enumerate_homs, periodic_scan  # noqa: F401
 
 
-@dataclass(frozen=True)
-class CongruenceInstance:
-    beta: BraidWord
-    p: int
-    k: int
-    group: FiniteGroup
+# beta a BraidWord, group a FiniteGroup
+CongruenceInstance = namedtuple("CongruenceInstance", "beta p k group")
+
+# x and hclass are tuples of element indices, one per component
+Violation = namedtuple("Violation", "x hclass lhs_count rhs_count")
 
 
-@dataclass
-class Violation:
-    x: tuple[int, ...]
-    hclass: tuple[int, ...]
-    lhs_count: int
-    rhs_count: int
-
-
-@dataclass
 class CongruenceReport:
-    instance: CongruenceInstance
-    n: int
-    cases_checked: int = 0
-    violations: list = field(default_factory=list)
+    __slots__ = ("instance", "n", "cases_checked", "violations")
+
+    def __init__(self, instance: CongruenceInstance, n: int):
+        self.instance = instance
+        self.n = n
+        self.cases_checked = 0
+        self.violations = []
 
     @property
     def ok(self) -> bool:
@@ -158,18 +150,16 @@ def verify(
     return report
 
 
-@dataclass
-class SweepEntry:
-    spec: dict
-    # "ok", "violations", "precondition-failed", "error", "resource-limit"
-    status: str
-    detail: str = ""
-    report: CongruenceReport | None = None
+# spec the catalog entry; status "ok", "violations", "precondition-failed",
+# "error" or "resource-limit"; report a CongruenceReport or None
+SweepEntry = namedtuple("SweepEntry", "spec status detail report", defaults=("", None))
 
 
-@dataclass
 class SweepSummary:
-    entries: list
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list):
+        self.entries = entries
 
     @property
     def any_violation(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .braids import BraidWord, ComponentData, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
@@ -72,14 +71,18 @@ def dw_class(beta: BraidWord, G: FiniteGroup, x, h) -> int:
     return class_buckets(G, x, recs)[tuple(target)]
 
 
-@dataclass
 class DWTable:
-    braid: BraidWord
-    group: FiniteGroup
-    n_components: int
-    x_scope: str
-    exact: dict = field(default_factory=dict)  # (x, h) -> count
-    by_class: dict = field(default_factory=dict)  # (x, class rep tuple) -> count
+    __slots__ = ("braid", "group", "n_components", "x_scope", "exact", "by_class")
+
+    def __init__(
+        self, braid: BraidWord, group: FiniteGroup, n_components: int, x_scope: str
+    ):
+        self.braid = braid
+        self.group = group
+        self.n_components = n_components
+        self.x_scope = x_scope
+        self.exact = {}  # (x, h) -> count
+        self.by_class = {}  # (x, class rep tuple) -> count
 
     def to_json_obj(self):
         names = self.group.names

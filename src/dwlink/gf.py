@@ -17,15 +17,16 @@ modulo the modulus, except prime fields, which compute with integers mod p.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .arith import is_prime, prime_factors
 from .errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime, ResourceError
+from .records import Frozen
 
 DEGREE_CAP = 12
 _TABLE_CAP = 4096  # build Zech-log tables for fields up to this order
 MAX_K = 3  # frobenius_trace_check checks the powers p^k for k = 1..MAX_K
-# bound on dim^3 * trials, the entry products of one matrix product per trial
+# bound on the entry products of frobenius_trace_check: dim^3 for each of
+# the matrix products that _power makes, MAX_K powers A^p per trial
 FROBCHECK_CAP = 10**7
 
 
@@ -224,16 +225,14 @@ def field_make(p: int, e: int) -> FqField:
 # -- matrices ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FqMatrix:
-    field: FqField
-    entries: tuple[tuple[int, ...], ...]
+class FqMatrix(Frozen):
+    __slots__ = ("field", "entries")
 
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
+    def __init__(self, field: FqField, entries: tuple[tuple[int, ...], ...]):
+        for row in entries:
+            if len(row) != len(entries):
                 raise DimMismatch("matrix is not square")
+        super().__init__(field, entries)
 
     @property
     def dim(self):
@@ -331,19 +330,21 @@ def random_matrix(field: FqField, dim: int, rng: random.Random) -> FqMatrix:
 def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) -> dict:
     """Check tr(A^p) = tr(A)^p, and the iterated form tr(A^(p^k)) = tr(A)^(p^k)
     for k up to MAX_K, on random matrices.  Failures would indicate an
-    arithmetic bug; they are reported, not raised.  dim^3 * trials above
-    FROBCHECK_CAP raises ResourceError before any matrix is drawn."""
+    arithmetic bug; they are reported, not raised.  More entry products
+    than FROBCHECK_CAP raises ResourceError before any matrix is drawn."""
     if dim < 1:
         raise ValueError("matrix dimension must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if dim**3 * trials > FROBCHECK_CAP:
+    p = field.p
+    per_power = p.bit_length() - 1 + p.bit_count() - 1  # _power's products
+    if trials * MAX_K * per_power * dim**3 > FROBCHECK_CAP:
         raise ResourceError(
-            f"{trials} trials at dimension {dim} exceed the cap of "
-            f"{FROBCHECK_CAP} entry products (dimension^3 * trials)"
+            f"{trials} trials at dimension {dim} and p = {p} exceed the cap of "
+            f"{FROBCHECK_CAP} entry products (trials * {MAX_K} powers * "
+            f"{per_power} matrix products per power * dimension^3)"
         )
     rng = random.Random(seed)
-    p = field.p
     failures = []
     for trial in range(trials):
         A = random_matrix(field, dim, rng)

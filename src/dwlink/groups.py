@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from operator import eq, itemgetter
 
@@ -35,13 +35,11 @@ from .errors import (
 ORDER_CAP = 10000
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(namedtuple("ConjClass", "representative members")):
     """A conjugacy class inside an ambient set of elements (the whole group
     or a centralizer).  The representative is the smallest member index."""
 
-    representative: int
-    members: tuple[int, ...]
+    __slots__ = ()
 
 
 class FiniteGroup:

@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .braids import BraidWord, ComponentData, components
 from .errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
@@ -75,13 +74,10 @@ def artin_action(beta: BraidWord, a, G: FiniteGroup) -> tuple[int, ...]:
     return tuple(_act(beta.letters, list(a), G.table, G.inv))
 
 
-@dataclass(frozen=True)
-class HomRecord:
+class HomRecord(namedtuple("HomRecord", "tuple meridian longitude")):
     """A braid-action fixed tuple with its per-component boundary data."""
 
-    tuple: tuple[int, ...]
-    meridian: tuple[int, ...]
-    longitude: tuple[int, ...]
+    __slots__ = ()
 
 
 def _holonomies(letters, labels, G: FiniteGroup) -> list[int]:

@@ -401,6 +401,9 @@ class TestFrobcheck:
         monkeypatch.setattr(gf, "random_matrix", no_draw)
         assert main(["frobcheck", "-p", "3", "-e", "5", "-n", "100000"]) == 3
         assert "entry products" in capsys.readouterr().err
+        # 46000 trials * 3 powers * 2 products per cube * 6^3 = 5.96e7
+        assert main(["frobcheck", "-p", "3", "-e", "5", "-n", "6", "--trials", "46000"]) == 3
+        assert "entry products" in capsys.readouterr().err
 
     def test_prime_above_miller_rabin_bound_exit3(self, capsys):
         p = str(arith._MR_BOUND)  # a strong pseudoprime to all 13 bases

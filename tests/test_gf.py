@@ -431,16 +431,53 @@ class TestFrobeniusTraceCheck:
         assert report["ok"] and report["trials"] == 50
 
     def test_work_cap_boundary(self, monkeypatch):
+        # trials * MAX_K powers * 2 products per cube (one squaring, one
+        # more product) * 3^3 entry products each
         F = gf.field_make(3, 2)
-        monkeypatch.setattr(gf, "FROBCHECK_CAP", 54)
-        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 3^3 * 2 = 54
+        monkeypatch.setattr(gf, "FROBCHECK_CAP", 324)
+        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 2 * 3 * 2 * 27 = 324
 
         def no_draw(field, dim, rng):
             raise AssertionError("matrix drawn past the work cap")
 
         monkeypatch.setattr(gf, "random_matrix", no_draw)
         with pytest.raises(ResourceError):
-            gf.frobenius_trace_check(F, 3, 3)  # 81
+            gf.frobenius_trace_check(F, 3, 3)  # 486
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_cap_counts_the_products_made(self, monkeypatch, p):
+        # the cap admits exactly the entry products of the mat_mul calls
+        F, dim, trials = gf.field_make(p, 1), 2, 3
+        mat_mul, calls = gf.mat_mul, []
+
+        def counted(X, Y):
+            calls.append(1)
+            return mat_mul(X, Y)
+
+        monkeypatch.setattr(gf, "mat_mul", counted)
+        assert gf.frobenius_trace_check(F, dim, trials)["ok"]
+        work = len(calls) * dim**3
+        monkeypatch.setattr(gf, "FROBCHECK_CAP", work)
+        assert gf.frobenius_trace_check(F, dim, trials)["ok"]
+        monkeypatch.setattr(gf, "FROBCHECK_CAP", work - 1)
+        with pytest.raises(ResourceError):
+            gf.frobenius_trace_check(F, dim, trials)
+
+    def test_cap_admits_the_benchmark_instance(self, monkeypatch):
+        # 1500 trials * 3 powers * 2 products * 6^3 = 1.94e6 entry products
+        # admitted; 46000 trials (5.96e7) refused before any matrix is drawn
+        class Drawn(Exception):
+            pass
+
+        def draw(field, dim, rng):
+            raise Drawn
+
+        monkeypatch.setattr(gf, "random_matrix", draw)
+        F = gf.field_make(3, 5)
+        with pytest.raises(Drawn):
+            gf.frobenius_trace_check(F, 6, 1500)
+        with pytest.raises(ResourceError):
+            gf.frobenius_trace_check(F, 6, 46000)
 
     def test_max_k_is_three(self):
         report = gf.frobenius_trace_check(gf.field_make(2, 1), 2, 1)
