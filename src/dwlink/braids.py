@@ -46,13 +46,14 @@ def parse_braid(text: str) -> BraidWord:
 
 def permutation(beta: BraidWord) -> tuple[int, ...]:
     """perm[i] = top position of the strand entering at bottom position i."""
-    pos = list(range(beta.strands))  # pos[j] = current position of bottom strand j
+    strand_at = list(range(beta.strands))  # strand_at[p] = bottom strand at p
     for l in beta.letters:
         i = abs(l) - 1
-        a = pos.index(i)
-        b = pos.index(i + 1)
-        pos[a], pos[b] = pos[b], pos[a]
-    return tuple(pos)
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    perm = [0] * beta.strands
+    for p, j in enumerate(strand_at):
+        perm[j] = p
+    return tuple(perm)
 
 
 def compose(beta2: BraidWord, beta1: BraidWord) -> BraidWord:

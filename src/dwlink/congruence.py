@@ -184,6 +184,23 @@ class SweepSummary:
         }
 
 
+def _entry_fields(spec):
+    """The braid, group, p and k of a catalog entry, each checked for its
+    JSON type before anything is built from it.  Types are exact, as for
+    the entries of a file: table: p and k may not be floats, booleans or
+    strings."""
+    if type(spec) is not dict:
+        raise InputError("catalog entry is not an object")
+    kinds = (("braid", str), ("group", str), ("p", int), ("k", int))
+    for field, kind in kinds:
+        if field not in spec:
+            raise InputError(f"catalog entry has no {field!r}")
+        if type(spec[field]) is not kind:
+            noun = "a string" if kind is str else "an integer"
+            raise InputError(f"{field!r} must be {noun}, got {spec[field]!r}")
+    return tuple(spec[field] for field, _ in kinds)
+
+
 def sweep(catalog) -> SweepSummary:
     """Run verify on each catalog entry, aggregating outcomes without
     aborting on per-entry failures.
@@ -194,12 +211,9 @@ def sweep(catalog) -> SweepSummary:
     entries = []
     for spec in catalog:
         try:
-            beta = parse_braid(spec["braid"])
-            G = from_group_spec(spec["group"])
-            p, k = spec["p"], spec["k"]
-            # exact type, as in a file: table: no floats, bools or strings
-            if type(p) is not int or type(k) is not int:
-                raise InputError(f"p and k must be integers, got {p!r} and {k!r}")
+            braid, group, p, k = _entry_fields(spec)
+            beta = parse_braid(braid)
+            G = from_group_spec(group)
             instance = check_preconditions(beta, p, k, G)
             report = verify(instance)
         except (NotPrime, GroupOrderDivisible, ComponentMismatch) as exc:

@@ -7,11 +7,11 @@ table must be a Latin square that passes Light's associativity test, which
 is exact, so it is a group; its identity and inverses are read off the
 table.  Conjugation orbits are split by one routine, FiniteGroup.orbits.
 Conjugacy classes are computed at construction; a centralizer Cen(x) is
-scanned from the table when asked for.  The partition of Cen(x) into its
-own conjugacy classes is built lazily, once per x, as a table from each
-member to its class representative (FiniteGroup.cen_class_reps); the
-counting and congruence loops look classes up there, and its keys are
-Cen(x).
+scanned from the table when asked for.  One routine, FiniteGroup._classes,
+splits G and each centralizer into classes.  Those of Cen(x) are built
+lazily, once per centralizer and shared by every x with it, as a table from
+each member to its class representative (FiniteGroup.cen_class_reps); the
+counting and congruence loops look classes up there, and its keys are Cen(x).
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ class FiniteGroup:
             self._validate()
         self.id = e = mul[0].index(0)
         self.inv = tuple(row.index(e) for row in mul)
-        self.classes = self._conjugacy_classes()
+        self.classes = self._classes(range(n))
         self.class_of = [0] * n
         for ci, cl in enumerate(self.classes):
             for g in cl.members:
                 self.class_of[g] = ci
-        # x -> cen_class_reps(x), filled on first use.  Declared here rather
-        # than added to the instance later, which slows every attribute
+        # x and Cen(x) -> cen_class_reps(x), filled on first use.  Declared here
+        # rather than added to the instance later, which slows every attribute
         # lookup on the group (every enumeration and longitude reads several).
         self._cen_reps = {}
 
@@ -188,14 +188,16 @@ class FiniteGroup:
                 orbits[r] = orbit
         return orbits
 
-    def _conjugacy_classes(self):
-        G = range(self.order)
+    def _classes(self, members) -> tuple[ConjClass, ...]:
+        """The conjugacy classes of the subgroup with the ascending members.
+        An abelian one, row g equal to column g on the members, needs no
+        orbit walk; members[0] is gathered twice, so one member gives a tuple."""
         mul = self.table
-        # row g against column g, lazily: the first pair that does not
-        # commute ends the check, and an abelian group needs no orbit walk
-        if all(all(map(eq, mul[g], map(itemgetter(g), mul))) for g in G):
-            return tuple(ConjClass(g, (g,)) for g in G)
-        orbits = self.orbits(G, G).items()
+        at_members = itemgetter(*members, members[0])
+        rows = at_members(mul)
+        if all(at_members(mul[g]) == tuple(map(itemgetter(g), rows)) for g in members):
+            return tuple(ConjClass(g, (g,)) for g in members)
+        orbits = self.orbits(members, members).items()
         return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)
 
     def centralizer(self, x: int) -> tuple[int, ...]:
@@ -213,13 +215,15 @@ class FiniteGroup:
 
     def cen_class_reps(self, x: int) -> dict[int, int]:
         """Map every h in Cen(x) to the smallest member of its conjugacy
-        class inside Cen(x).  Built from orbits on the first call for each
-        x; callers must not modify it."""
+        class inside Cen(x).  Built on first use, and shared by every x with
+        the same Cen(x): the same dict, which callers must not modify."""
         reps = self._cen_reps.get(x)
         if reps is None:
             members = self.centralizer(x)
-            orbits = self.orbits(members, members).items()
-            reps = {c: r for r, orbit in orbits for c in orbit}
+            reps = self._cen_reps.get(members)
+            if reps is None:
+                classes = self._classes(members)
+                reps = self._cen_reps[members] = {c: r for r, cl in classes for c in cl}
             self._cen_reps[x] = reps
         return reps
 

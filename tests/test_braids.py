@@ -55,6 +55,38 @@ class TestPermutation:
         assert seen == 3
 
 
+    @given(data=st.data())
+    def test_matches_position_lookup(self, data):
+        m = data.draw(st.integers(1, 6))
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        # a 1-strand braid has no letters
+        letters = st.just([])
+        if alphabet:
+            letters = st.lists(st.sampled_from(alphabet), max_size=20)
+        beta = braids.BraidWord(m, tuple(data.draw(letters)))
+        assert braids.permutation(beta) == _permutation_by_lookup(beta)
+
+    def test_long_word(self):
+        # 99,950 letters on 2000 strands: one pass, not a position lookup
+        # per letter
+        beta = braids.BraidWord(2000, tuple(range(1, 2000)) * 50)
+        # each pass of 1 2 ... 1999 carries every strand one position down
+        # and the bottom one to the top
+        assert braids.permutation(beta) == tuple((i - 50) % 2000 for i in range(2000))
+
+
+def _permutation_by_lookup(beta):
+    """braids.permutation as a search for the strand's position at each
+    letter, O(strands * letters): the reference for the one-pass walk."""
+    pos = list(range(beta.strands))  # pos[j] = current position of bottom strand j
+    for l in beta.letters:
+        i = abs(l) - 1
+        a = pos.index(i)
+        b = pos.index(i + 1)
+        pos[a], pos[b] = pos[b], pos[a]
+    return tuple(pos)
+
+
 class TestCompose:
     def test_identity(self):
         b = braids.parse_braid("3: 1 -2")

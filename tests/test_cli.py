@@ -543,6 +543,11 @@ FIXED_CATALOGS = {
     '[{"braid": "2: 1", "p": "3", "k": 1, "group": "cyclic:2"}]': 2,
     '[{"braid": "2: 1", "p": 3, "k": true, "group": "cyclic:2"}]': 2,
     '[{"braid": "2: 1", "p": 1e999, "k": 1, "group": "cyclic:2"}]': 2,
+    # malformed entries, refused before any braid or group is built
+    '["2: 1"]': 2,
+    '[{"braid": "2: 1", "p": 3, "k": 1}]': 2,
+    '[{"braid": 21, "p": 3, "k": 1, "group": "cyclic:2"}]': 2,
+    '[{"braid": "2: 1", "p": "3", "k": 1, "group": "symmetric:7"}]': 2,
 }
 CATALOGS = st.one_of(
     st.lists(CATALOG_ENTRY, max_size=3).map(json.dumps),

@@ -483,6 +483,34 @@ class TestCaseLoop:
         assert report.ok and report.cases_checked == 64**4 == 16777216
 
 
+class TestClassTablesPerCentralizer:
+    """A sweep over every x splits each distinct centralizer into its
+    classes once: e and r^10 of D20 share Cen = G, the other rotations the
+    rotations, and r^a s only {e, r^10, r^a s, r^(a+10) s}."""
+
+    @pytest.mark.parametrize("spec, distinct", [("cyclic:40", 1), ("dihedral:20", 12)])
+    @pytest.mark.parametrize("command", ["verify", "dw_table"])
+    def test_one_split_per_distinct_centralizer(
+        self, monkeypatch, command, spec, distinct
+    ):
+        G = groups.from_group_spec(spec)
+        split, classes = [], groups.FiniteGroup._classes
+
+        def spy(self, members):
+            split.append(tuple(members))
+            return classes(self, members)
+
+        monkeypatch.setattr(groups.FiniteGroup, "_classes", spy)
+        beta = braids.parse_braid("2:")  # two components: x ranges over G^2
+        if command == "verify":
+            inst = congruence.check_preconditions(beta, 3, 1, G)
+            assert congruence.verify(inst, x_scope="all").ok
+        else:
+            dw.dw_table(beta, G, x_scope="all")
+        assert len(split) == len(set(split)) == distinct
+        assert set(split) == {G.centralizer(x) for x in G.elements()}
+
+
 class TestSweep:
     def test_empty(self):
         summary = congruence.sweep([])
@@ -509,3 +537,43 @@ class TestSweep:
     def test_malformed_entry(self):
         summary = congruence.sweep([{"braid": "oops"}])
         assert summary.entries[0].status == "error"
+
+    # each entry is checked for its shape before anything is built from it,
+    # and the detail names the field at fault
+    @pytest.mark.parametrize(
+        "entry, detail",
+        [
+            (1, "catalog entry is not an object"),
+            (["2: 1", 3, 1, "cyclic:2"], "catalog entry is not an object"),
+            ({"braid": "2: 1", "p": 3, "k": 1}, "catalog entry has no 'group'"),
+            ({"group": "cyclic:2", "p": 3, "k": 1}, "catalog entry has no 'braid'"),
+            ({"braid": "2: 1", "group": "cyclic:2", "k": 1}, "catalog entry has no 'p'"),
+            ({"braid": "2: 1", "group": "cyclic:2", "p": 3}, "catalog entry has no 'k'"),
+            ({"braid": ["2: 1"], "group": "cyclic:2", "p": 3, "k": 1},
+             "'braid' must be a string, got ['2: 1']"),
+            ({"braid": "2: 1", "group": 2, "p": 3, "k": 1},
+             "'group' must be a string, got 2"),
+            # once took 2.3 s and 210 MB to build S7 before refusing p
+            ({"braid": "2: 1", "group": "symmetric:7", "p": "3", "k": 1},
+             "'p' must be an integer, got '3'"),
+            ({"braid": "2: 1", "group": "cyclic:2", "p": 3.0, "k": 1},
+             "'p' must be an integer, got 3.0"),
+            ({"braid": "2: 1", "group": "cyclic:2", "p": 3, "k": True},
+             "'k' must be an integer, got True"),
+            ({"braid": "2: 1", "group": "cyclic:2", "p": 3, "k": None},
+             "'k' must be an integer, got None"),
+        ],
+        ids=[
+            "number", "array", "no-group", "no-braid", "no-p", "no-k",
+            "array-braid", "number-group", "string-p", "float-p", "bool-k",
+            "null-k",
+        ],
+    )
+    def test_malformed_entry_detail(self, monkeypatch, entry, detail):
+        def no_build(*args):
+            raise AssertionError("built from a malformed entry")
+
+        monkeypatch.setattr(congruence, "parse_braid", no_build)
+        monkeypatch.setattr(congruence, "from_group_spec", no_build)
+        (got,) = congruence.sweep([entry]).entries
+        assert (got.status, got.detail, got.report) == ("error", detail, None)

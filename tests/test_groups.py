@@ -557,10 +557,18 @@ class TestOrbits:
             ]
 
 
+def _relabelled(G, shift):
+    """The table of G with every element g renamed g + shift mod |G|."""
+    n = G.order
+    mul = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(G.elements(), repeat=2):
+        mul[(a + shift) % n][(b + shift) % n] = (G.table[a][b] + shift) % n
+    return mul
+
+
 class TestCenClassReps:
-    @pytest.mark.parametrize("spec", SMALL_SPECS)
-    def test_matches_class_in_subgroup(self, spec):
-        G = groups.from_group_spec(spec)
+    @staticmethod
+    def check_against_reference(G):
         for x in G.elements():
             cen = G.centralizer(x)
             reps = G.cen_class_reps(x)
@@ -568,9 +576,39 @@ class TestCenClassReps:
             for h in cen:
                 assert reps[h] == G.class_in_subgroup(cen, h).representative
 
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_matches_class_in_subgroup(self, spec):
+        self.check_against_reference(groups.from_group_spec(spec))
+
+    # Z3 whose identity is element 2, and S3 and Q8 with the identity moved
+    # off element 0, so no class table can lean on 0 being the identity
+    @pytest.mark.parametrize(
+        "mul",
+        [
+            [[1, 2, 0], [2, 0, 1], [0, 1, 2]],
+            _relabelled(groups.symmetric(3), 4),
+            _relabelled(groups.quaternion8(), 3),
+        ],
+        ids=["z3", "s3", "q8"],
+    )
+    def test_matches_class_in_subgroup_on_file_tables(self, tmp_path, mul):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mul": mul}))
+        G = groups.from_group_spec(f"file:{path}")
+        assert G.id != 0
+        self.check_against_reference(G)
+
     def test_built_once_per_x(self):
         G = groups.symmetric(4)
         assert G.cen_class_reps(3) is G.cen_class_reps(3)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_one_dict_per_centralizer(self, spec):
+        G = groups.from_group_spec(spec)
+        cens = [G.centralizer(x) for x in G.elements()]
+        for x, y in itertools.product(G.elements(), repeat=2):
+            same = G.cen_class_reps(x) is G.cen_class_reps(y)
+            assert same == (cens[x] == cens[y])
 
 
 class TestPower:
