@@ -16,7 +16,8 @@ from .records import Frozen
 
 
 class BraidWord(Frozen):
-    __slots__ = ("strands", "letters")  # int, tuple[int, ...]
+    # int, tuple[int, ...]; __dict__ holds steps once read
+    __slots__ = ("strands", "letters", "__dict__")
 
     def __init__(self, strands: int, letters):
         if strands < 1:
@@ -29,6 +30,12 @@ class BraidWord(Frozen):
 
     def __str__(self):
         return f"{self.strands}: " + " ".join(str(l) for l in self.letters)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, int, bool], ...]:
+        """The letters as (i, i + 1, positive) steps on 0-based positions,
+        built on first read: the form the Artin action walks."""
+        return tuple((abs(l) - 1, abs(l), l > 0) for l in self.letters)
 
 
 def parse_braid(text: str) -> BraidWord:

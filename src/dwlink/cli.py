@@ -92,12 +92,13 @@ def cmd_homs(args):
     G = from_group_spec(args.group)
     n = components(beta).count
     x = _parse_x(G, args.x, n)
-    recs = holonomy.enumerate_homs(
-        beta, G, x_constraint=x, allow_large=args.allow_large
-    )
     if args.count:
-        _emit({"count": len(recs)}, args.pretty)
+        count = holonomy.count_fixed_tuples(beta, G, x, args.allow_large)
+        _emit({"count": count}, args.pretty)
     else:
+        recs = holonomy.enumerate_homs(
+            beta, G, x_constraint=x, allow_large=args.allow_large
+        )
         out = [
             {
                 "tuple": [G.names[e] for e in r.tuple],

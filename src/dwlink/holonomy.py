@@ -32,9 +32,10 @@ candidate (as in an abelian group), the chain has the one level p0.
 The one loop over these representatives is _scan, which walks the braid
 orbit of each a for a bounded number of steps.  enumerate_homs takes the a
 back after one step and expands each one over its two transversals; the
-result is exact, with no duplicates to remove.  periodic_scan takes the a
-back after p^j steps, for both closures that congruence.verify compares,
-and weighs each by |T0| |T1|.
+result is exact, with no duplicates to remove.  count_fixed_tuples (behind
+`homs --count`) sums |T0| |T1| over the same a and builds no tuple.
+periodic_scan takes the a back after p^j steps, for both closures that
+congruence.verify compares, and weighs each by |T0| |T1|.
 """
 
 from __future__ import annotations
@@ -50,18 +51,15 @@ from .groups import FiniteGroup
 SEARCH_CAP = 10**9
 
 
-def _act(letters, labels, mul, inv):
-    """Move the labels in the list labels up through letters, in place, and
-    return the list."""
-    for l in letters:
-        i = abs(l) - 1
-        x, y = labels[i], labels[i + 1]
-        if l > 0:
-            labels[i] = mul[mul[x][y]][inv[x]]
-            labels[i + 1] = x
+def _act(steps, labels, mul, inv):
+    """Move the labels in the list labels up through steps, a braid's
+    BraidWord.steps, in place, and return the list."""
+    for i, j, positive in steps:
+        x, y = labels[i], labels[j]
+        if positive:
+            labels[i], labels[j] = mul[mul[x][y]][inv[x]], x
         else:
-            labels[i] = y
-            labels[i + 1] = mul[mul[inv[y]][x]][y]
+            labels[i], labels[j] = y, mul[mul[inv[y]][x]][y]
     return labels
 
 
@@ -71,7 +69,7 @@ def artin_action(beta: BraidWord, a, G: FiniteGroup) -> tuple[int, ...]:
         raise LengthMismatch(
             f"tuple length {len(a)} != strand count {beta.strands}"
         )
-    return tuple(_act(beta.letters, list(a), G.table, G.inv))
+    return tuple(_act(beta.steps, list(a), G.table, G.inv))
 
 
 class HomRecord(namedtuple("HomRecord", "tuple meridian longitude")):
@@ -80,28 +78,29 @@ class HomRecord(namedtuple("HomRecord", "tuple meridian longitude")):
     __slots__ = ()
 
 
-def _holonomies(letters, labels, G: FiniteGroup) -> list[int]:
-    """Move the labels in the list labels up through letters, in place, as
-    _act does, and return the strand holonomies: hol[s] is the product of
-    the labels of the over-strands (to the sign of the letter) that the
-    strand entering at bottom position s passes under."""
+def _holonomies(steps, labels, G: FiniteGroup) -> list[int]:
+    """Move the labels in the list labels up through steps, a braid's
+    BraidWord.steps, in place, as _act does, and return the strand
+    holonomies: hol[s] is the product of the labels of the over-strands (to
+    the sign of the letter) that the strand entering at bottom position s
+    passes under."""
     mul, inv = G.table, G.inv
     hol = [G.id] * len(labels)
     at = list(range(len(labels)))  # at[p] = bottom position of the strand at p
-    for l in letters:
-        i = abs(l) - 1
+    for step in steps:
+        i, j, positive = step
         # with mul(a, b) meaning "b first", traversal order puts new
         # contributions on the left
-        if l > 0:
+        if positive:
             # strand at position i passes over
-            s = at[i + 1]
+            s = at[j]
             hol[s] = mul[labels[i]][hol[s]]
         else:
             # strand at position i+1 passes over
             s = at[i]
-            hol[s] = mul[inv[labels[i + 1]]][hol[s]]
-        at[i], at[i + 1] = at[i + 1], at[i]
-        _act((l,), labels, mul, inv)
+            hol[s] = mul[inv[labels[j]]][hol[s]]
+        at[i], at[j] = at[j], at[i]
+        _act((step,), labels, mul, inv)
     return hol
 
 
@@ -137,7 +136,7 @@ def longitude_image(
         raise NotAFixedPoint(f"{a} is not fixed by the braid action")
     if comp is None:
         comp = components(beta)
-    hol = _holonomies(beta.letters, list(a), G)
+    hol = _holonomies(beta.steps, list(a), G)
     acc = _cycle_product([hol], comp.cycles[t], G.table, G.id)
     meridian = a[comp.basepoints[t]]
     return G.table[acc][G.power(meridian, -comp.self_writhe[t])]
@@ -212,12 +211,25 @@ def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
     Splitting p1 costs (number of orbits) |Cen_H(r)| conjugations, and it
     saves scanned tuples only where Cen_H(r) moves candidates at p1.  So p1
     is split once per distinct Cen_H(r): in a dihedral group every
-    non-central rotation has the same one."""
+    non-central rotation has the same one.
+
+    The entries of a fixed tuple along one cycle of beta are conjugate.
+    candidate_sets prunes by this when meridians are prescribed (the p^j
+    steps of periodic_scan are prime to the cycle lengths, so beta^(p^j)
+    has beta's cycles).  Only enumerate_homs and count_fixed_tuples scan
+    without prescribed meridians, at limit 1; there every position of p0's
+    cycle other than p0 runs over the class of r, and so do the
+    representatives at p1 when p1 is on that cycle.  For the knot
+    "3: 1 -2 1 -2" over S5 that scans 753 tuples, not 19,320."""
     cands, p0, p1, H, trans0 = _reduced_candidates(
         G, comp, x_constraint, allow_large
     )
-    letters, mul, inv = beta.letters, G.table, G.inv
+    steps, mul, inv = beta.steps, G.table, G.inv
     trivial = {G.id: G.id}
+    # the positions whose candidates follow the class of r
+    cycle0 = ()
+    if x_constraint is None:
+        cycle0 = next(c for c in comp.cycles if p0 in c)
     if p1 is not None:
         level1 = cands[p1]
         # Cen_H(r) -> its orbits on level1; where Cen_H(r) = H and p1 has
@@ -225,17 +237,24 @@ def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
         split = {tuple(sorted(H)): trans0} if level1 == cands[p0] else {}
     for r, t0 in trans0.items():
         cands[p0] = (r,)
+        c = G.class_of[r]
+        for p in cycle0:
+            if p != p0:
+                cands[p] = G.classes[c].members
         if p1 is not None:
             stabilizer = tuple(filter(H.__contains__, G.centralizer(r)))
             trans1 = split.get(stabilizer)
             if trans1 is None:
                 trans1 = split[stabilizer] = G.orbits(level1, stabilizer)
-            cands[p1] = list(trans1)
+            if p1 in cycle0:
+                cands[p1] = [s for s in trans1 if G.class_of[s] == c]
+            else:
+                cands[p1] = list(trans1)
         for a in itertools.product(*cands):
-            b = _act(letters, list(a), mul, inv)
+            b = _act(steps, list(a), mul, inv)
             L = 1
             while L < limit and tuple(b) != a:
-                _act(letters, b, mul, inv)
+                _act(steps, b, mul, inv)
                 L += 1
             if tuple(b) == a:
                 yield a, L, t0, trivial if p1 is None else trans1[a[p1]]
@@ -279,7 +298,26 @@ def enumerate_homs(
 
 
 def count_homs(beta: BraidWord, G: FiniteGroup, **kw) -> int:
+    """The number of records enumerate_homs builds: the per-record
+    reference for count_fixed_tuples."""
     return len(enumerate_homs(beta, G, **kw))
+
+
+def count_fixed_tuples(
+    beta: BraidWord,
+    G: FiniteGroup,
+    x_constraint=None,
+    allow_large: bool = False,
+) -> int:
+    """The number of fixed tuples of the braid action, as count_homs, with
+    no record built: each scanned representative stands for |T0| |T1| of
+    them (see the module docstring)."""
+    return sum(
+        len(t0) * len(t1)
+        for _, _, t0, t1 in _scan(
+            beta, G, components(beta), x_constraint, 1, allow_large
+        )
+    )
 
 
 def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
@@ -325,7 +363,7 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
             continue
         # L holonomy passes take b once around the orbit of a
         b = list(a)
-        hols = [_holonomies(beta.letters, b, G) for _ in range(L)]
+        hols = [_holonomies(beta.steps, b, G) for _ in range(L)]
         P = [_cycle_product(hols, cyc, mul, G.id) for cyc in comp.cycles]
         e = pow(p, k - j, order)
         big = tuple(mul[G.power(g, e)][f] for g, f in zip(P, frame_big))

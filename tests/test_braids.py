@@ -28,6 +28,12 @@ class TestParsing:
         b = braids.parse_braid("3: 1 -2 1")
         assert braids.parse_braid(str(b)) == b
 
+    def test_steps(self):
+        b = braids.parse_braid("4: 1 -2 3 -3")
+        assert b.steps == ((0, 1, True), (1, 2, False), (2, 3, True), (2, 3, False))
+        assert b.steps is b.steps
+        assert b == braids.parse_braid("4: 1 -2 3 -3")  # steps is no field
+
     def test_bad(self):
         with pytest.raises(BadBraid):
             braids.parse_braid("2 1 1")

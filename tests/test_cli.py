@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,15 @@ class TestHoms:
     def test_search_cap_exit(self, capsys):
         assert main(["homs", "--braid", "12:", "--group", "quaternion:8"]) == 3
 
+    def test_count_at_scale(self, capsys):
+        # 120^3 fixed tuples, counted from 19,320 scanned representatives
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "homs", "--braid", "3:", "--group", "symmetric:5", "--count"
+        )
+        assert (code, out) == (0, '{"count":1728000}\n')
+        assert time.perf_counter() - start < 2
+
 
 class TestDw:
     def test_hopf_z2(self, capsys):
@@ -316,12 +326,15 @@ class TestSweep:
 
 
 # runs dwlink.cli.main on its argv, then prints its own peak RSS in KiB
-# (Linux) as the last line of stderr
+# (Linux) as the last line of stderr: VmHWM, which starts afresh at exec.
+# ru_maxrss would also carry the RSS of the process it was forked from.
 RSS_CHILD = """\
-import resource, sys
+import sys
 from dwlink.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+print(hwm.split()[1], file=sys.stderr)
 sys.exit(code)
 """
 
@@ -619,3 +632,28 @@ class TestExitCodes:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main(["sweep", "--catalog", str(catalog)]) == expected
+
+
+class TestHomsCount:
+    """homs --count sums the scan's weights and builds no record; it must
+    print the count of the full listing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_count_is_the_listing_count(self, data):
+        braid = data.draw(small_braids())
+        spec = data.draw(st.sampled_from(SMALL_GROUPS))
+        argv = ["homs", "--braid", braid, "--group", spec]
+        if data.draw(st.booleans()):
+            # argparse reads a name such as "-i" as an option
+            names = [g for g in groups.from_group_spec(spec).names if g[0] != "-"]
+            n = braids.components(braids.parse_braid(braid)).count
+            argv += ["--x", *(data.draw(st.sampled_from(names)) for _ in range(n))]
+        outs = []
+        for extra in ([], ["--count"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + extra) == 0
+            outs.append(json.loads(out.getvalue()))
+        listing, count = outs
+        assert count == {"count": listing["count"]} == {"count": len(listing["homs"])}

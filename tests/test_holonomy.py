@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -334,9 +335,63 @@ class TestOrbitReduction:
         assert recs == unreduced_homs(b, G)
 
     def test_s6_count(self):
-        # 648,720 representatives scanned, against 5,702,400 at one level
+        # 13,819 tuples scanned, against 5,702,400 at one level
         b = braids.parse_braid("3: 1 -2 1 -2")
         assert holonomy.count_homs(b, groups.symmetric(6)) == 10080
+
+
+class TestCountFromWeights:
+    """count_fixed_tuples sums the scan's weights |T0| |T1| and builds no
+    record; count_homs counts the records enumerate_homs builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_records_and_wirtinger(self, data):
+        G = data.draw(st.sampled_from(SMALL_GROUPS + CHAIN_GROUPS))
+        constrained = data.draw(st.booleans())
+        # the oracle tries |G|^(free arcs) labellings.  A closure has one
+        # arc per letter, plus one per component that never passes under;
+        # a prescribed meridian pins one arc of each component.
+        e = 1
+        while G.order ** (e + 1) <= 24**3:
+            e += 1
+        m = data.draw(st.integers(1, 4 if constrained else min(4, e)))
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        letters = []
+        if m > 1:
+            size = min(6, e if constrained else e - m)
+            letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=size))
+        b = braids.BraidWord(m, tuple(letters))
+        comp = braids.components(b)
+        x = fixed = None
+        if constrained:
+            x = tuple(data.draw(st.sampled_from(G.elements())) for _ in comp.cycles)
+            fixed = dict(zip(comp.basepoints, x))
+        count = holonomy.count_fixed_tuples(b, G, x)
+        assert count == holonomy.count_homs(b, G, x_constraint=x)
+        assert count == wirtinger_count(b, G, fixed)
+
+    def test_builds_no_record(self, monkeypatch):
+        def forbidden(*args, **kw):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(holonomy, "enumerate_homs", forbidden)
+        monkeypatch.setattr(holonomy, "longitude_image", forbidden)
+        monkeypatch.setattr(holonomy, "_holonomies", forbidden)
+        b = braids.parse_braid("3: 1 -2 1 -2")
+        assert holonomy.count_fixed_tuples(b, groups.symmetric(6)) == 10080
+
+    def test_caps_as_enumerate_homs(self):
+        G = groups.quaternion8()
+        with pytest.raises(SearchTooLarge):
+            holonomy.count_fixed_tuples(braids.parse_braid("12:"), G)
+        with pytest.raises(LengthMismatch):
+            holonomy.count_fixed_tuples(braids.parse_braid("2:"), G, (G.id,))
+        with mock.patch.object(holonomy, "SEARCH_CAP", 8**3 - 1):
+            b = braids.parse_braid("3:")
+            with pytest.raises(SearchTooLarge):
+                holonomy.count_fixed_tuples(b, G)
+            assert holonomy.count_fixed_tuples(b, G, allow_large=True) == 8**3
 
 
 class TestSearchSpace:
@@ -410,9 +465,24 @@ class TestLongitude:
             b = random_braid(rng)
             a = [rng.randrange(G.order) for _ in range(b.strands)]
             labels = list(a)
-            hol = holonomy._holonomies(b.letters, labels, G)
+            hol = holonomy._holonomies(b.steps, labels, G)
             assert tuple(labels) == holonomy.artin_action(b, a, G)
             assert len(hol) == b.strands
+
+    def test_steps_prepared_once_per_braid(self, monkeypatch):
+        built = []
+        real = braids.BraidWord.steps.func
+
+        def steps(beta):
+            built.append(beta)
+            return real(beta)
+
+        prop = functools.cached_property(steps)
+        prop.__set_name__(braids.BraidWord, "steps")
+        monkeypatch.setattr(braids.BraidWord, "steps", prop)
+        b = braids.parse_braid("3: 1 -2 1 -2")
+        recs = holonomy.enumerate_homs(b, groups.symmetric(3))
+        assert len(recs) > 1 and built == [b]
 
     def test_not_a_fixed_point(self):
         G = groups.symmetric(3)

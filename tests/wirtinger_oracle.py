@@ -23,8 +23,10 @@ def _union(parent, a, b):
         parent[rb] = ra
 
 
-def wirtinger_count(beta, G) -> int:
-    """Number of homomorphisms from the closure's link group to G."""
+def wirtinger_count(beta, G, fixed=None) -> int:
+    """Number of homomorphisms from the closure's link group to G.  fixed,
+    a dict {bottom position: element}, keeps only those that send the arc
+    entering the braid at each such position to its element."""
     m = beta.strands
     arc_at = list(range(m))
     next_id = m
@@ -57,9 +59,18 @@ def wirtinger_count(beta, G) -> int:
         for (o, s, u, v) in relations
     ]
 
+    pinned = {}
+    for j, g in (fixed or {}).items():
+        if pinned.setdefault(slot[_find(parent, j)], g) != g:
+            return 0
+    free = [s for s in range(len(roots)) if s not in pinned]
+
     mul, inv = G.table, G.inv
     count = 0
-    for assign in itertools.product(range(G.order), repeat=len(roots)):
+    assign = [pinned.get(s, 0) for s in range(len(roots))]
+    for values in itertools.product(range(G.order), repeat=len(free)):
+        for s, g in zip(free, values):
+            assign[s] = g
         ok = True
         for o, s, u, v in rels:
             g = assign[o] if s > 0 else inv[assign[o]]
