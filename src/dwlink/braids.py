@@ -16,7 +16,7 @@ from .records import Frozen
 
 
 class BraidWord(Frozen):
-    # int, tuple[int, ...]; __dict__ holds steps once read
+    # int, tuple[int, ...]; __dict__ holds steps and components once read
     __slots__ = ("strands", "letters", "__dict__")
 
     def __init__(self, strands: int, letters):
@@ -36,6 +36,41 @@ class BraidWord(Frozen):
         """The letters as (i, i + 1, positive) steps on 0-based positions,
         built on first read: the form the Artin action walks."""
         return tuple((abs(l) - 1, abs(l), l > 0) for l in self.letters)
+
+    @cached_property
+    def components(self) -> ComponentData:
+        """The closure's ComponentData, built on first read."""
+        m = self.strands
+        perm = permutation(self)
+        cycles = cycles_of(perm)
+        n = len(cycles)
+        comp_of = [0] * m
+        for t, cyc in enumerate(cycles):
+            for j in cyc:
+                comp_of[j] = t
+
+        self_writhe = [0] * n
+        crossings = {}
+        strand_at = list(range(m))  # strand_at[p] = bottom strand now at position p
+        for l in self.letters:
+            i = abs(l) - 1
+            sign = 1 if l > 0 else -1
+            ca = comp_of[strand_at[i]]
+            cb = comp_of[strand_at[i + 1]]
+            if ca == cb:
+                self_writhe[ca] += sign
+            else:
+                pair = (min(ca, cb), max(ca, cb))
+                crossings[pair] = crossings.get(pair, 0) + sign
+            strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+
+        return ComponentData(
+            n,  # count
+            cycles,
+            tuple(c[0] for c in cycles),  # basepoints
+            tuple(self_writhe),
+            tuple(sorted(crossings.items())),  # crossings
+        )
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -125,34 +160,4 @@ def cycles_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def components(beta: BraidWord) -> ComponentData:
-    m = beta.strands
-    perm = permutation(beta)
-    cycles = cycles_of(perm)
-    n = len(cycles)
-    comp_of = [0] * m
-    for t, cyc in enumerate(cycles):
-        for j in cyc:
-            comp_of[j] = t
-
-    self_writhe = [0] * n
-    crossings = {}
-    strand_at = list(range(m))  # strand_at[p] = bottom strand currently at position p
-    for l in beta.letters:
-        i = abs(l) - 1
-        sign = 1 if l > 0 else -1
-        ca = comp_of[strand_at[i]]
-        cb = comp_of[strand_at[i + 1]]
-        if ca == cb:
-            self_writhe[ca] += sign
-        else:
-            pair = (min(ca, cb), max(ca, cb))
-            crossings[pair] = crossings.get(pair, 0) + sign
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-
-    return ComponentData(
-        n,  # count
-        cycles,
-        tuple(c[0] for c in cycles),  # basepoints
-        tuple(self_writhe),
-        tuple(sorted(crossings.items())),  # crossings
-    )
+    return beta.components

@@ -16,7 +16,7 @@ import sys
 # each command imports the heavier modules it uses itself, so that a process
 # loads no module its command does not run; braids and errors are light
 from .braids import components, parse_braid, permutation
-from .errors import InputError, ResourceError
+from .errors import RESOURCE_FAILURES, InputError, resource_message
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("homs", help="enumerate homomorphisms to the group")
     common(sp, braid=True, group=True, threads=True)
-    sp.add_argument("--x", nargs="+", help="meridian element names per component")
+    # repeated --x=NAME flags add up, so Q8's -i can be given on a link
+    sp.add_argument(
+        "--x", nargs="+", action="extend", help="meridian element names per component"
+    )
     sp.add_argument("--count", action="store_true", help="output count only")
     sp.add_argument(
         "--allow-large", action="store_true", help="override the search-space cap"
@@ -266,9 +269,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ResourceError, OverflowError, MemoryError) as exc:
-        # a bare MemoryError carries no message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    except RESOURCE_FAILURES as exc:
+        print(f"error: {resource_message(exc)}", file=sys.stderr)
         return EXIT_RESOURCE
     # a JSONDecodeError is a ValueError; a RecursionError comes from JSON
     # nested deeper than the interpreter's recursion limit

@@ -24,11 +24,12 @@ from .arith import is_prime
 from .braids import BraidWord, components, parse_braid
 from .dw import checked_x_tuples
 from .errors import (
+    RESOURCE_FAILURES,
     ComponentMismatch,
     GroupOrderDivisible,
     NotPrime,
     InputError,
-    ResourceError,
+    resource_message,
 )
 from .groups import FiniteGroup, from_group_spec
 # enumerate_homs is not called here; it stays bound because the benchmark's
@@ -218,9 +219,8 @@ def sweep(catalog) -> SweepSummary:
             report = verify(instance)
         except (NotPrime, GroupOrderDivisible, ComponentMismatch) as exc:
             entry = SweepEntry(spec, "precondition-failed", str(exc))
-        except (ResourceError, OverflowError, MemoryError) as exc:
-            # a bare MemoryError carries no message
-            entry = SweepEntry(spec, "resource-limit", str(exc) or type(exc).__name__)
+        except RESOURCE_FAILURES as exc:
+            entry = SweepEntry(spec, "resource-limit", resource_message(exc))
         except Exception as exc:  # malformed entry
             entry = SweepEntry(spec, "error", str(exc))
         else:

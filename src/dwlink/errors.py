@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the library.
 
-InputError subclasses map to CLI exit code 2, ResourceError to exit code 3.
+InputError subclasses map to CLI exit code 2, RESOURCE_FAILURES to exit code 3.
 A mathematical violation (a failed congruence or trace identity) is not an
 exception; it is reported in the relevant report object and mapped to exit
 code 1 by the CLI.
@@ -17,6 +17,14 @@ class InputError(DwlinkError):
 
 class ResourceError(DwlinkError):
     """A configured resource cap was exceeded."""
+
+
+# a cap exceeded, or more than Python can index or allocate
+RESOURCE_FAILURES = (ResourceError, OverflowError, MemoryError)
+
+
+def resource_message(exc: BaseException) -> str:
+    return str(exc) or type(exc).__name__  # a bare MemoryError has no message
 
 
 # group construction

@@ -44,7 +44,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .braids import BraidWord, ComponentData, components
+from .braids import BraidWord
 from .errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
 from .groups import FiniteGroup
 
@@ -116,12 +116,7 @@ def _cycle_product(hols, cycle, mul, one) -> int:
 
 
 def longitude_image(
-    beta: BraidWord,
-    a,
-    t: int,
-    G: FiniteGroup,
-    comp: ComponentData | None = None,
-    check: bool = True,
+    beta: BraidWord, a, t: int, G: FiniteGroup, check: bool = True
 ) -> int:
     """Image of the 0-framed longitude of closure component t.
 
@@ -129,13 +124,12 @@ def longitude_image(
     labels of the over-strands (to the sign of the letter) that the strand
     entering at s passes under.  Composing these along the component's
     cycle gives the blackboard-framed longitude, which is then corrected by
-    the component's self-writhe.
+    the component's self-writhe, both read from beta.components.
     """
     a = tuple(a)
     if check and artin_action(beta, a, G) != a:
         raise NotAFixedPoint(f"{a} is not fixed by the braid action")
-    if comp is None:
-        comp = components(beta)
+    comp = beta.components
     hol = _holonomies(beta.steps, list(a), G)
     acc = _cycle_product([hol], comp.cycles[t], G.table, G.id)
     meridian = a[comp.basepoints[t]]
@@ -179,34 +173,15 @@ def check_size(size: int, what: str, allow_large: bool = False) -> None:
     raise SearchTooLarge(what.format(shown) + f" exceeds cap {SEARCH_CAP}")
 
 
-def _reduced_candidates(G, comp, x_constraint, allow_large=False):
-    """The stabilizer chain of the scan (see the module docstring): the
-    candidate sets, p0, p1 (None without a second position with more than
-    one candidate, or when H is central in G), H, and the H-orbit
-    transversals at p0.  The caller cuts positions p0 and p1 per
-    representative."""
-    cands = candidate_sets(G, comp, x_constraint, allow_large)
-    if x_constraint is None:
-        H = G.elements()
-    else:
-        H = set.intersection(*map(G.centralizer_set, x_constraint))
-    multi = [p for p, c in enumerate(cands) if len(c) > 1]
-    p0 = multi[0] if multi else 0
-    p1 = multi[1] if len(multi) > 1 else None
-    # a central H fixes every candidate, so it leaves nothing to split at p1
-    if p1 is not None and all(len(G.classes[G.class_of[h]].members) == 1 for h in H):
-        p1 = None
-    return cands, p0, p1, H, G.orbits(cands[p0], H)
-
-
-def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
+def _scan(beta, G, x_constraint, limit, allow_large=False):
     """The one scan of the chain's representatives: walk each candidate a's
     orbit a, f a, f^2 a, ... under beta's action f for at most limit steps.
     Yields (a, L, t0, t1) for every a back at itself after L <= limit
     steps, in lexicographic order of a.  t0 maps each member c of the
     H-orbit of r = a[p0] to the h with h r h^-1 = c; t1 maps each member c
     of the Cen_H(r)-orbit of a[p1] to the h with h a[p1] h^-1 = c, and is
-    {e: e} when the chain has one level.
+    {e: e} when the chain has one level.  The chain (see the module
+    docstring) is set up here, from beta.components.
 
     Splitting p1 costs (number of orbits) |Cen_H(r)| conjugations, and it
     saves scanned tuples only where Cen_H(r) moves candidates at p1.  So p1
@@ -221,9 +196,19 @@ def _scan(beta, G, comp, x_constraint, limit, allow_large=False):
     cycle other than p0 runs over the class of r, and so do the
     representatives at p1 when p1 is on that cycle.  For the knot
     "3: 1 -2 1 -2" over S5 that scans 753 tuples, not 19,320."""
-    cands, p0, p1, H, trans0 = _reduced_candidates(
-        G, comp, x_constraint, allow_large
-    )
+    comp = beta.components
+    cands = candidate_sets(G, comp, x_constraint, allow_large)
+    if x_constraint is None:
+        H = G.elements()
+    else:
+        H = set.intersection(*map(G.centralizer_set, x_constraint))
+    multi = [p for p, c in enumerate(cands) if len(c) > 1]
+    p0 = multi[0] if multi else 0
+    p1 = multi[1] if len(multi) > 1 else None
+    # a central H fixes every candidate, so it leaves nothing to split at p1
+    if p1 is not None and all(len(G.classes[G.class_of[h]].members) == 1 for h in H):
+        p1 = None
+    trans0 = G.orbits(cands[p0], H)
     steps, mul, inv = beta.steps, G.table, G.inv
     trivial = {G.id: G.id}
     # the positions whose candidates follow the class of r
@@ -275,10 +260,10 @@ def enumerate_homs(
     conjugated by h0 h1 for every h1 in its level-1 transversal and every
     h0 in its level-0 transversal, and the results are sorted.  SEARCH_CAP
     bounds the unreduced candidate space."""
-    comp = components(beta)
+    comp = beta.components
     mul, inv = G.table, G.inv
     fixed = []
-    for a, _, t0, t1 in _scan(beta, G, comp, x_constraint, 1, allow_large):
+    for a, _, t0, t1 in _scan(beta, G, x_constraint, 1, allow_large):
         for h1 in t1.values():
             for h0 in t0.values():
                 g = mul[h0][h1]
@@ -290,7 +275,7 @@ def enumerate_homs(
     for a in fixed:
         meridian = tuple(a[b] for b in comp.basepoints)
         longitude = tuple(
-            longitude_image(beta, a, t, G, comp=comp, check=False)
+            longitude_image(beta, a, t, G, check=False)
             for t in range(comp.count)
         )
         records.append(HomRecord(a, meridian, longitude))
@@ -314,9 +299,7 @@ def count_fixed_tuples(
     them (see the module docstring)."""
     return sum(
         len(t0) * len(t1)
-        for _, _, t0, t1 in _scan(
-            beta, G, components(beta), x_constraint, 1, allow_large
-        )
+        for _, _, t0, t1 in _scan(beta, G, x_constraint, 1, allow_large)
     )
 
 
@@ -347,7 +330,7 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     pieces, and the 0-framing subtracts p^k times the self-writhe w_t of
     the component: the longitude is P^(p^(k-j)) x_t^(-p^k w_t).  Both
     exponents are taken mod |G|, and p^k itself is never formed."""
-    comp = components(beta)
+    comp = beta.components
     mul, order = G.table, G.order
     # an f-orbit lies in G^m, so every walk returns within |G|^m < 2^b <= p^b
     # steps, b the bit length of |G|^m: capping k at b spares forming p^k
@@ -355,7 +338,7 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     q = pow(p, k, order)
     frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
     frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
-    for a, L, t0, t1 in _scan(beta, G, comp, x, limit):
+    for a, L, t0, t1 in _scan(beta, G, x, limit):
         j, r = 0, L
         while r % p == 0:
             j, r = j + 1, r // p

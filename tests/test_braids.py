@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd
 
@@ -180,6 +181,19 @@ class TestComponents:
         assert "linking" not in vars(comp)
         small = braids.components(braids.parse_braid("4: 1 1 3 -3"))
         assert small.linking == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+
+    def test_built_once_on_the_braid(self):
+        b = braids.parse_braid("3: 1 1 -2")
+        comp = braids.components(b)
+        assert comp is b.components is braids.components(b)
+        # components is no field: the braid still equals, hashes and prints
+        # like a fresh parse, and a pickle round trip rebuilds it unread
+        fresh = braids.parse_braid("3: 1 1 -2")
+        assert b == fresh and hash(b) == hash(fresh)
+        assert repr(b) == repr(fresh) and str(b) == str(fresh)
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == b and hash(copy) == hash(b) and repr(copy) == repr(b)
+        assert "components" not in vars(copy) and copy.components == comp
 
     def test_total_writhe_identity(self):
         rng = random.Random(6)

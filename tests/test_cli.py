@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlink import arith, braids, gf, groups
+from dwlink import arith, braids, gf, groups, holonomy
 from dwlink.cli import main
 
 
@@ -164,6 +165,22 @@ class TestHoms:
     def test_search_cap_exit(self, capsys):
         assert main(["homs", "--braid", "12:", "--group", "quaternion:8"]) == 3
 
+    @pytest.mark.parametrize("names", [("-i", "-j"), ("-i", "-i")])
+    def test_dash_led_x_on_a_link(self, capsys, names):
+        # each --x=NAME adds a name, so Q8's -i and -j reach both components
+        b, G = braids.parse_braid("2: 1 1"), groups.quaternion8()
+        argv = ["homs", "--braid", str(b), "--group", "quaternion:8", "--count"]
+        code, out = run(capsys, *argv, *(f"--x={name}" for name in names))
+        x = tuple(G.element_index(name) for name in names)
+        assert code == 0
+        assert json.loads(out) == {"count": holonomy.count_fixed_tuples(b, G, x)}
+
+    def test_repeated_x_on_a_knot_exit2(self, capsys):
+        argv = ["homs", "--braid", "2: 1 1 1", "--group", "symmetric:3", "--count"]
+        assert main(argv + ["--x", "(1 2)"]) == 0
+        assert main(argv + ["--x", "(1 2)", "--x", "(1 2)"]) == 2
+        assert "--x needs 1 element names" in capsys.readouterr().err
+
     def test_count_at_scale(self, capsys):
         # 120^3 fixed tuples, counted from 19,320 scanned representatives
         start = time.perf_counter()
@@ -172,6 +189,33 @@ class TestHoms:
         )
         assert (code, out) == (0, '{"count":1728000}\n')
         assert time.perf_counter() - start < 2
+
+
+class TestComponentsBuiltOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 64 meridian tuples, each scanned
+            ["verify", "--braid", "6:", "--group", "cyclic:2", "-p", "3", "-k", "1"],
+            ["dw", "--braid", "3: 1 1 -2", "--group", "symmetric:3", "--exact"],
+            ["homs", "--braid", "3: 1 1 -2", "--group", "symmetric:3"],
+            ["homs", "--braid", "3: 1 1 -2", "--group", "symmetric:3", "--count"],
+        ],
+    )
+    def test_one_build_per_command(self, capsys, monkeypatch, argv):
+        built = []
+        real = braids.BraidWord.components.func
+
+        def components(beta):
+            built.append(beta)
+            return real(beta)
+
+        prop = functools.cached_property(components)
+        prop.__set_name__(braids.BraidWord, "components")
+        monkeypatch.setattr(braids.BraidWord, "components", prop)
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)
+        assert built == [braids.parse_braid(argv[2])]
 
 
 class TestDw:

@@ -237,7 +237,7 @@ class TestDeckActionBuckets:
 
         def peripheral(a):
             return [
-                (a[b], holonomy.longitude_image(big, a, t, G, comp=comp))
+                (a[b], holonomy.longitude_image(big, a, t, G))
                 for t, b in enumerate(comp.basepoints)
             ]
 

@@ -166,7 +166,7 @@ def unreduced_homs(beta, G, x=None):
     for a in itertools.product(*holonomy.candidate_sets(G, comp, x)):
         if holonomy.artin_action(beta, a, G) == a:
             longitude = tuple(
-                holonomy.longitude_image(beta, a, t, G, comp=comp, check=False)
+                holonomy.longitude_image(beta, a, t, G, check=False)
                 for t in range(comp.count)
             )
             meridian = tuple(a[p] for p in comp.basepoints)
@@ -174,11 +174,12 @@ def unreduced_homs(beta, G, x=None):
     return recs
 
 
-def one_level_scan(beta, G, comp, x_constraint, limit, allow_large=False):
+def one_level_scan(beta, G, x_constraint, limit, allow_large=False):
     """holonomy._scan with its stabilizer chain cut after the first level:
     position p0 runs over one representative per H-orbit, every other
     position over all its candidates, and the level-1 transversal is
     {e: e}.  The reference that the two-level chain is tested against."""
+    comp = braids.components(beta)
     cands = holonomy.candidate_sets(G, comp, x_constraint, allow_large)
     if x_constraint is None:
         H = G.elements()
@@ -260,7 +261,8 @@ class TestOrbitReduction:
                     covered.add("H < G with orbits at p0")
                 if n > 1 and p0 > 0:
                     covered.add("several components, p0 > 0")
-                if holonomy._reduced_candidates(G, comp, x)[2] is not None:
+                multi = [c for c in cands if len(c) > 1]
+                if len(multi) > 1 and any(len(G.centralizer(h)) < G.order for h in H):
                     covered.add("two levels")
                 recs = holonomy.enumerate_homs(b, G, x_constraint=x)
                 assert recs == one_level_homs(b, G, x) == unreduced_homs(b, G, x)
@@ -326,9 +328,6 @@ class TestOrbitReduction:
     )
     def test_one_split_per_stabilizer(self, G, splits):
         b = braids.parse_braid("2: 1")
-        comp = braids.components(b)
-        abelian = len(G.classes) == G.order
-        assert (holonomy._reduced_candidates(G, comp, None)[2] is None) == abelian
         with mock.patch.object(G, "orbits", wraps=G.orbits) as orbits:
             recs = holonomy.enumerate_homs(b, G)
         assert orbits.call_count == splits
