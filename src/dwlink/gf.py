@@ -11,11 +11,13 @@ primitive element g (Lidl and Niederreiter, *Finite Fields*, ch. 9), each of
 size O(q): exp[i] = g^i, log (its inverse) and zech[i] = log(1 + g^i), so
 that g^a g^b = g^(a+b) and g^a + g^b = g^(a + zech[b-a]).  mat_mul adds up
 its dot products in the log domain.  Larger fields multiply polynomials
-modulo the modulus, except prime fields, which compute with integers mod p.
+modulo the modulus, except prime fields, which compute with integers mod p;
+in both, mat_mul sums each dot product over Z and reduces it once.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .arith import is_prime, prime_factors
@@ -26,7 +28,8 @@ DEGREE_CAP = 12
 _TABLE_CAP = 4096  # build Zech-log tables for fields up to this order
 MAX_K = 3  # frobenius_trace_check checks the powers p^k for k = 1..MAX_K
 # bound on the entry products of frobenius_trace_check: dim^3 for each of
-# the matrix products that _power makes, MAX_K powers A^p per trial
+# the matrix products that _power makes, MAX_K powers A^p per trial, less
+# one product whose trace alone is read, in dim^2 entry products
 FROBCHECK_CAP = 10**7
 
 
@@ -234,6 +237,14 @@ class FqMatrix(Frozen):
                 raise DimMismatch("matrix is not square")
         super().__init__(field, entries)
 
+    @classmethod
+    def _trusted(cls, field, entries):
+        """A matrix whose entries are known to be square, built unchecked."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "field", field)
+        object.__setattr__(M, "entries", entries)
+        return M
+
     @property
     def dim(self):
         return len(self.entries)
@@ -252,54 +263,81 @@ def mat_identity(field: FqField, n: int) -> FqMatrix:
     )
 
 
-def mat_mul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
-    if A.field != B.field:
-        raise FieldMismatch("matrices over different fields")
-    if A.dim != B.dim:
-        raise DimMismatch(f"dimension mismatch: {A.dim} vs {B.dim}")
-    F = A.field
-    cols = list(zip(*B.entries))
-    if F.zech is None:
-        add, mul = F.add, F.mul
+def _dot_products(F: FqField, xs, ys):
+    """The matrix over F of the dot products of each vector of xs with each
+    vector of ys, all of one length."""
+    if F.zech is not None:
+        exp, log, zech = F.exp, F.log, F.zech
+        m = F.order - 1
+        log_cols = [[log[y] for y in col] for col in ys]
+        # Log domain: s is the log of the partial sum, None while the sum is
+        # 0.  la + lb, the log of the next term, lies in 0..2(q-2); s stays
+        # there too, because s + zech[la + lb - s] drops q - 1 once if it
+        # reaches it.
         rows = []
-        for arow in A.entries:
+        for row in xs:
+            log_row = [log[x] for x in row]
             out = []
-            for bcol in cols:
-                s = 0
-                for x, y in zip(arow, bcol):
-                    s = add(s, mul(x, y))
-                out.append(s)
+            for log_col in log_cols:
+                s = None
+                for la, lb in zip(log_row, log_col):
+                    if la is None or lb is None:
+                        continue
+                    if s is None:
+                        s = la + lb
+                        continue
+                    z = zech[la + lb - s]
+                    if z is None:  # the partial sum cancels to 0
+                        s = None
+                        continue
+                    s += z
+                    if s >= m:
+                        s -= m
+                out.append(0 if s is None else exp[s])
             rows.append(tuple(out))
-        return FqMatrix(F, tuple(rows))
+        return tuple(rows)
 
-    # Log domain: s is the log of the partial sum, None while the sum is 0.
-    # la + lb, the log of the next term, lies in 0..2(q-2); s stays there
-    # too, because s + zech[la + lb - s] drops q - 1 once if it reaches it.
-    exp, log, zech = F.exp, F.log, F.zech
-    m = F.order - 1
-    log_cols = [[log[y] for y in col] for col in cols]
-    rows = []
-    for arow in A.entries:
-        log_row = [log[x] for x in arow]
-        out = []
-        for log_col in log_cols:
-            s = None
-            for la, lb in zip(log_row, log_col):
-                if la is None or lb is None:
-                    continue
-                if s is None:
-                    s = la + lb
-                    continue
-                z = zech[la + lb - s]
-                if z is None:  # the partial sum cancels to 0
-                    s = None
-                    continue
-                s += z
-                if s >= m:
-                    s -= m
-            out.append(0 if s is None else exp[s])
-        rows.append(tuple(out))
-    return FqMatrix(F, tuple(rows))
+    # No tables: sum the terms over Z and reduce once per dot product.
+    p, e, mul = F.p, F.e, operator.mul
+    if e == 1:
+        return tuple(tuple(sum(map(mul, x, y)) % p for y in ys) for x in xs)
+    # An element with digits d_i stands for the integer sum of d_i 2^(w i)
+    # (Kronecker substitution), so the sum of the products of these integers
+    # holds, w bits each, the coefficients over Z of the sum of the
+    # polynomial products; w bits hold the largest, len * e * (p-1)^2.
+    w = (len(ys[0]) * e * (p - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+
+    def code(a):
+        return sum(d << (w * i) for i, d in enumerate(_digits(a, p, e)))
+
+    def reduce(t):
+        coeffs = [(t >> (w * i)) & mask for i in range(2 * e - 1)]
+        return F._pack(_poly_mod(coeffs, F.modulus, p))
+
+    xs = [[code(a) for a in v] for v in xs]
+    ys = [[code(a) for a in v] for v in ys]
+    return tuple(tuple(reduce(sum(map(mul, x, y))) for y in ys) for x in xs)
+
+
+def mat_mul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
+    F = A.field
+    if F is not B.field and F != B.field:
+        raise FieldMismatch("matrices over different fields")
+    n = len(A.entries)
+    if n != len(B.entries):
+        raise DimMismatch(f"dimension mismatch: {n} vs {len(B.entries)}")
+    cols = list(zip(*B.entries))
+    return FqMatrix._trusted(F, _dot_products(F, A.entries, cols))
+
+
+def _trace_of_product(A: FqMatrix, B: FqMatrix) -> int:
+    """tr(AB) = sum over i, j of A_ij B_ji, for A and B of one field and one
+    dimension n: one dot product of n^2 terms, A's rows end to end against
+    B's columns end to end, not the n^3 entry products of AB."""
+    rows = [x for row in A.entries for x in row]
+    cols = [y for col in zip(*B.entries) for y in col]
+    return _dot_products(A.field, [rows], [cols])[0][0]
 
 
 def mat_pow(A: FqMatrix, n: int) -> FqMatrix:
@@ -318,19 +356,26 @@ def trace(A: FqMatrix) -> int:
 
 
 def random_matrix(field: FqField, dim: int, rng: random.Random) -> FqMatrix:
-    return FqMatrix(
-        field,
-        tuple(
-            tuple(rng.randrange(field.order) for _ in range(dim))
-            for _ in range(dim)
-        ),
-    )
+    """dim x dim entries drawn row by row as rng.randrange(q) draws them:
+    k = q.bit_length() random bits, redrawn while they reach q."""
+    q = field.order
+    k = q.bit_length()
+    bits = rng.getrandbits
+    draws = []
+    while len(draws) < dim * dim:
+        r = bits(k)
+        if r < q:
+            draws.append(r)
+    rows = tuple(tuple(draws[i : i + dim]) for i in range(0, dim * dim, dim))
+    return FqMatrix._trusted(field, rows)
 
 
 def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) -> dict:
     """Check tr(A^p) = tr(A)^p, and the iterated form tr(A^(p^k)) = tr(A)^(p^k)
     for k up to MAX_K, on random matrices.  Failures would indicate an
-    arithmetic bug; they are reported, not raised.  More entry products
+    arithmetic bug; they are reported, not raised.  Only the trace of the
+    last power is read: with B = A^(p^(MAX_K-1)) it is tr(B^(p-1) B), n^2
+    entry products in place of a last matrix product.  More entry products
     than FROBCHECK_CAP raises ResourceError before any matrix is drawn."""
     if dim < 1:
         raise ValueError("matrix dimension must be at least 1")
@@ -338,26 +383,29 @@ def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) 
         raise ValueError("trials must be at least 1")
     p = field.p
     per_power = p.bit_length() - 1 + p.bit_count() - 1  # _power's products
-    if trials * MAX_K * per_power * dim**3 > FROBCHECK_CAP:
+    # the last power makes one matrix product fewer and n^2 entry products
+    if trials * ((MAX_K * per_power - 1) * dim**3 + dim**2) > FROBCHECK_CAP:
         raise ResourceError(
             f"{trials} trials at dimension {dim} and p = {p} exceed the cap of "
-            f"{FROBCHECK_CAP} entry products (trials * {MAX_K} powers * "
-            f"{per_power} matrix products per power * dimension^3)"
+            f"{FROBCHECK_CAP} entry products (trials * (({MAX_K} powers * "
+            f"{per_power} matrix products per power - 1) * dimension^3 + "
+            "dimension^2))"
         )
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
         A = random_matrix(field, dim, rng)
-        t = trace(A)
         B = A
-        tp = t
+        tp = trace(A)
         for k in range(1, MAX_K + 1):
-            B = mat_pow(B, p)  # B = A^(p^k)
-            tp = field.pow(tp, p)  # tp = t^(p^k)
-            if trace(B) != tp:
-                failures.append(
-                    {"trial": trial, "k": k, "lhs": trace(B), "rhs": tp}
-                )
+            tp = field.pow(tp, p)  # tp = tr(A)^(p^k)
+            if k < MAX_K:
+                B = mat_pow(B, p)  # B = A^(p^k)
+                lhs = trace(B)
+            else:
+                lhs = _trace_of_product(mat_pow(B, p - 1), B)
+            if lhs != tp:
+                failures.append({"trial": trial, "k": k, "lhs": lhs, "rhs": tp})
     return {
         "p": p,
         "e": field.e,

@@ -458,7 +458,8 @@ class TestFrobcheck:
         monkeypatch.setattr(gf, "random_matrix", no_draw)
         assert main(["frobcheck", "-p", "3", "-e", "5", "-n", "100000"]) == 3
         assert "entry products" in capsys.readouterr().err
-        # 46000 trials * 3 powers * 2 products per cube * 6^3 = 5.96e7
+        # 46000 trials * ((3 powers * 2 products per cube - 1) * 6^3 + 6^2)
+        # = 5.13e7
         assert main(["frobcheck", "-p", "3", "-e", "5", "-n", "6", "--trials", "46000"]) == 3
         assert "entry products" in capsys.readouterr().err
 

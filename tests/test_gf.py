@@ -5,6 +5,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwlink import gf
 from dwlink.arith import is_prime
@@ -158,20 +159,22 @@ class Reference:
     def __init__(self, F):
         self.p, self.modulus = F.p, F.modulus
         self.weights = [F.p**i for i in range(F.e)]
-        self.digits = [[a // w % F.p for w in self.weights] for a in range(F.order)]
+
+    def digits(self, a):
+        return [a // w % self.p for w in self.weights]
 
     def code(self, coeffs):
         return sum(c * w for c, w in zip(coeffs, self.weights))
 
     def add(self, a, b):
-        pairs = zip(self.digits[a], self.digits[b])
+        pairs = zip(self.digits(a), self.digits(b))
         return self.code([(x + y) % self.p for x, y in pairs])
 
     def neg(self, a):
-        return self.code([-x % self.p for x in self.digits[a]])
+        return self.code([-x % self.p for x in self.digits(a)])
 
     def mul(self, a, b):
-        prod = gf._poly_mul(self.digits[a], self.digits[b], self.p)
+        prod = gf._poly_mul(self.digits(a), self.digits(b), self.p)
         return self.code(gf._poly_mod(prod, self.modulus, self.p))
 
     def mat_mul(self, A, B):
@@ -267,9 +270,12 @@ def _test_matrices(F, n, rng):
 
 
 class TestMatricesOracle:
-    # (101, 2) is above the table cap: the polynomial path
+    # (101, 2), (67, 2), (4099, 2) and (3, 8) are above the table cap: the
+    # polynomial path; (4099, 1) is a prime field above it
     @pytest.mark.parametrize(
-        "p, e", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 5), (2, 8), (101, 2)]
+        "p, e",
+        [(2, 1), (2, 3), (3, 1), (3, 2), (3, 5), (2, 8), (101, 2), (67, 2),
+         (4099, 2), (3, 8), (4099, 1)],
     )
     def test_mat_mul(self, p, e):
         F = gf.field_make(p, e)
@@ -367,6 +373,13 @@ class TestMatrices:
         with pytest.raises(FieldMismatch):
             gf.mat_mul(A, B)
 
+    def test_equal_fields_built_apart(self):
+        # the field check tries identity first, then equality
+        F, G = gf.field_make(3, 2), gf.field_make(3, 2)
+        A = gf.random_matrix(F, 3, random.Random(1))
+        B = gf.random_matrix(G, 3, random.Random(2))
+        assert gf.mat_mul(A, B) == gf.mat_mul(A, gf.FqMatrix(F, B.entries))
+
 
 class TestTrace:
     def test_identity(self):
@@ -431,32 +444,40 @@ class TestFrobeniusTraceCheck:
         assert report["ok"] and report["trials"] == 50
 
     def test_work_cap_boundary(self, monkeypatch):
-        # trials * MAX_K powers * 2 products per cube (one squaring, one
-        # more product) * 3^3 entry products each
+        # trials * ((MAX_K powers * 2 products per cube (one squaring, one
+        # more product) - 1) * 3^3 entry products + 3^2 for the trace-only
+        # last product)
         F = gf.field_make(3, 2)
-        monkeypatch.setattr(gf, "FROBCHECK_CAP", 324)
-        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 2 * 3 * 2 * 27 = 324
+        monkeypatch.setattr(gf, "FROBCHECK_CAP", 288)
+        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 2 * (5 * 27 + 9) = 288
 
         def no_draw(field, dim, rng):
             raise AssertionError("matrix drawn past the work cap")
 
         monkeypatch.setattr(gf, "random_matrix", no_draw)
         with pytest.raises(ResourceError):
-            gf.frobenius_trace_check(F, 3, 3)  # 486
+            gf.frobenius_trace_check(F, 3, 3)  # 432
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_cap_counts_the_products_made(self, monkeypatch, p):
-        # the cap admits exactly the entry products of the mat_mul calls
+        # the cap admits exactly the entry products of the mat_mul calls and
+        # of the trace-only products
         F, dim, trials = gf.field_make(p, 1), 2, 3
-        mat_mul, calls = gf.mat_mul, []
+        mat_mul, trace_of_product, calls = gf.mat_mul, gf._trace_of_product, []
 
         def counted(X, Y):
-            calls.append(1)
+            calls.append(dim**3)
             return mat_mul(X, Y)
 
+        def counted_trace(X, Y):
+            calls.append(dim**2)
+            return trace_of_product(X, Y)
+
         monkeypatch.setattr(gf, "mat_mul", counted)
+        monkeypatch.setattr(gf, "_trace_of_product", counted_trace)
         assert gf.frobenius_trace_check(F, dim, trials)["ok"]
-        work = len(calls) * dim**3
+        assert calls.count(dim**2) == trials
+        work = sum(calls)
         monkeypatch.setattr(gf, "FROBCHECK_CAP", work)
         assert gf.frobenius_trace_check(F, dim, trials)["ok"]
         monkeypatch.setattr(gf, "FROBCHECK_CAP", work - 1)
@@ -464,8 +485,9 @@ class TestFrobeniusTraceCheck:
             gf.frobenius_trace_check(F, dim, trials)
 
     def test_cap_admits_the_benchmark_instance(self, monkeypatch):
-        # 1500 trials * 3 powers * 2 products * 6^3 = 1.94e6 entry products
-        # admitted; 46000 trials (5.96e7) refused before any matrix is drawn
+        # 1500 trials * ((3 powers * 2 products - 1) * 6^3 + 6^2) = 1.67e6
+        # entry products admitted; 46000 trials (5.13e7) refused before any
+        # matrix is drawn
         class Drawn(Exception):
             pass
 
@@ -492,3 +514,90 @@ class TestFrobeniusTraceCheck:
         for p, e, dim in itertools.product((2, 3), (1, 2), (2, 3)):
             F = gf.field_make(p, e)
             assert gf.frobenius_trace_check(F, dim, 25)["ok"]
+
+
+@functools.lru_cache(maxsize=None)
+def field(p, e):
+    return gf.field_make(p, e)
+
+
+# one field of each kind that _dot_products serves: Zech-log tables, a prime
+# field above the table cap, and polynomials above it
+KERNEL_FIELDS = [(3, 5), (2, 4), (4099, 1), (1000000007, 1), (67, 2), (4099, 2), (3, 8)]
+
+
+def reference_rows(F, dim, trials, seed):
+    """(trial, k, tr(A^(p^k)), tr(A)^(p^k)) for each of frobenius_trace_check's
+    cases, the slow way: A drawn entry by entry by rng.randrange, and every
+    power A^(p^k) formed in full by mat_pow from A."""
+    p, rng, rows = F.p, random.Random(seed), []
+    for trial in range(trials):
+        entries = [[rng.randrange(F.order) for _ in range(dim)] for _ in range(dim)]
+        A = gf.mat_from_lists(F, entries)
+        t = gf.trace(A)
+        for k in range(1, gf.MAX_K + 1):
+            rows.append((trial, k, gf.trace(gf.mat_pow(A, p**k)), F.pow(t, p**k)))
+    return rows
+
+
+class TestFastPathsAgainstSlow:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_trace_of_product_is_trace_of_mat_mul(self, data):
+        F = field(*data.draw(st.sampled_from(KERNEL_FIELDS)))
+        n = data.draw(st.integers(1, 6))
+        row = st.lists(st.integers(0, F.order - 1), min_size=n, max_size=n)
+        A, B = (gf.mat_from_lists(F, data.draw(st.lists(row, min_size=n, max_size=n)))
+                for _ in range(2))
+        assert gf._trace_of_product(A, B) == gf.trace(gf.mat_mul(A, B))
+
+    @pytest.mark.parametrize(
+        "p, e, dim, trials",
+        [(2, 1, 3, 20), (2, 3, 2, 10), (3, 2, 3, 20), (5, 1, 4, 10), (3, 5, 6, 3),
+         (67, 2, 2, 2), (4099, 1, 2, 2), (3, 8, 2, 2)],
+    )
+    def test_report_matches_full_powers(self, p, e, dim, trials):
+        F = field(p, e)
+        rows = reference_rows(F, dim, trials, seed=p + dim)
+        failures = [
+            {"trial": trial, "k": k, "lhs": lhs, "rhs": rhs}
+            for trial, k, lhs, rhs in rows
+            if lhs != rhs
+        ]
+        expected = {"p": p, "e": e, "dim": dim, "trials": trials,
+                    "max_k": gf.MAX_K, "failures": failures, "ok": not failures}
+        assert gf.frobenius_trace_check(F, dim, trials, seed=p + dim) == expected
+
+    @pytest.mark.parametrize("p, e", [(3, 2), (2, 1), (67, 2), (4099, 1)])
+    def test_trace_only_failures_are_reported(self, monkeypatch, p, e):
+        # mutation check: a fault in the trace-only product alone (vectors of
+        # dim^2 entries; mat_mul's have dim) shows as a failure at k = MAX_K
+        # in every trial, with that product's value as lhs
+        F, dim, trials = field(p, e), 3, 4
+        rows = reference_rows(F, dim, trials, seed=11)
+        dot_products = gf._dot_products
+
+        def faulty(F, xs, ys):
+            out = dot_products(F, xs, ys)
+            if len(ys[0]) != dim**2:
+                return out
+            return ((F.add(out[0][0], F.one),),)
+
+        monkeypatch.setattr(gf, "_dot_products", faulty)
+        report = gf.frobenius_trace_check(F, dim, trials, seed=11)
+        assert not report["ok"]
+        assert report["failures"] == [
+            {"trial": trial, "k": k, "lhs": F.add(lhs, F.one), "rhs": rhs}
+            for trial, k, lhs, rhs in rows
+            if k == gf.MAX_K
+        ]
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (3, 5), (4099, 2), (1000000007, 1)])
+    def test_random_matrix_draws_as_randrange(self, p, e):
+        F = field(p, e)
+        for dim in (1, 2, 5):
+            fast, slow = random.Random(dim), random.Random(dim)
+            for _ in range(20):
+                drawn = [[slow.randrange(F.order) for _ in range(dim)] for _ in range(dim)]
+                assert gf.random_matrix(F, dim, fast) == gf.mat_from_lists(F, drawn)
+            assert fast.getstate() == slow.getstate()
