@@ -5,10 +5,14 @@ ordering is breadth-first discovery order with index 0 the identity; for
 groups built from an explicit table the table order is kept.  An explicit
 table must be a Latin square that passes Light's associativity test, which
 is exact, so it is a group; its identity and inverses are read off the
-table.  Conjugation orbits are split by one routine, FiniteGroup.orbits.
-Conjugacy classes are computed at construction; a centralizer Cen(x) is
-scanned from the table when asked for.  One routine, FiniteGroup._classes,
-splits G and each centralizer into classes.  Those of Cen(x) are built
+table.  Every table is checked to be n rows of n exact ints in 0..n-1: a
+table passed in whole on every row, and a permutation group's table, whose
+rows are gathered from its generator rows, through those rows and the
+parent each row is gathered from (FiniteGroup._gathered).  Conjugation
+orbits are split by one routine, FiniteGroup.orbits.  Conjugacy classes are
+computed at construction; a centralizer Cen(x) is scanned from the table
+when asked for.  One routine, FiniteGroup._classes, splits G and each
+centralizer into classes.  Those of Cen(x) are built
 lazily, once per centralizer and shared by every x with it, as a table from
 each member to its class representative (FiniteGroup.cen_class_reps); the
 counting and congruence loops look classes up there, and its keys are Cen(x).
@@ -35,6 +39,23 @@ from .errors import (
 ORDER_CAP = 10000
 
 
+def _check_rows(rows, n: int):
+    """Refuse, with BadShape naming its first offending entry, the first of
+    the rows that is not n exact ints in 0..n-1."""
+    in_range = frozenset(range(n))
+    for row in rows:
+        if len(row) != n:
+            raise BadShape("multiplication table is not square")
+        # exact type: rejects floats such as 0.0 and bools
+        if set(map(type, row)) != {int}:
+            v = next(v for v in row if type(v) is not int)
+            raise BadShape(f"table entry {v!r} is not an integer")
+        if not in_range.issuperset(row):
+            lo = min(row)
+            v = lo if lo < 0 else max(row)
+            raise BadShape(f"table entry {v} out of range for order {n}")
+
+
 class ConjClass(namedtuple("ConjClass", "representative members")):
     """A conjugacy class inside an ambient set of elements (the whole group
     or a centralizer).  The representative is the smallest member index."""
@@ -55,21 +76,45 @@ class FiniteGroup:
             mul = tuple(tuple(row) for row in mul)
         except TypeError:
             raise BadShape("multiplication table is not a list of rows") from None
-        n = len(mul)
-        if n == 0:
+        if not mul:
             raise BadShape("empty multiplication table")
-        # row by row, so an error names the first offending row's entry
-        for row in mul:
-            if len(row) != n:
-                raise BadShape("multiplication table is not square")
-            # exact type: rejects floats such as 0.0 and bools
-            if set(map(type, row)) != {int}:
-                v = next(v for v in row if type(v) is not int)
-                raise BadShape(f"table entry {v!r} is not an integer")
-            lo, hi = min(row), max(row)
-            if lo < 0 or hi >= n:
-                v = lo if lo < 0 else hi
-                raise BadShape(f"table entry {v} out of range for order {n}")
+        _check_rows(mul, len(mul))
+        self._set_up(mul, names, name, validate)
+
+    @classmethod
+    def _gathered(cls, gen_rows, parents, names, name: str) -> FiniteGroup:
+        """The group whose row 0 is the identity 0, 1, ..., n-1 and whose row
+        q, for (pi, j) = parents[q - 1], is row pi gathered at gen_rows[j]:
+        the table of a group closed under its generators, whose rows are
+        gen_rows, as from_permutation_generators finds it.  The caller vouches
+        that it is a group, as validate=False does.  Each generator row gets
+        the row check that __init__ runs on every row, and each parent must
+        name an earlier row and an existing generator; a gathered row then
+        holds only entries of earlier rows, so it is a row of n exact ints in
+        0..n-1 too, with no scan."""
+        n = len(parents) + 1
+        _check_rows(gen_rows, n)
+        for q, (pi, j) in enumerate(parents, 1):
+            if not 0 <= pi < q:
+                raise BadShape(
+                    f"row {q} is gathered from row {pi}, not an earlier row"
+                )
+            if not 0 <= j < len(gen_rows):
+                raise BadShape(
+                    f"row {q} is gathered at generator {j}, not one of {len(gen_rows)}"
+                )
+        at_gen_rows = [itemgetter(*row) for row in gen_rows]
+        table = [tuple(range(n))]
+        for pi, j in parents:
+            table.append(at_gen_rows[j](table[pi]))
+        G = object.__new__(cls)
+        G._set_up(tuple(table), names, name, validate=False)
+        return G
+
+    def _set_up(self, mul, names, name, validate):
+        """The set-up that follows the table checks, on a table of n rows of
+        n exact ints in 0..n-1: names, identity, inverses and classes."""
+        n = len(mul)
         self.order = n
         self.table = mul
         self.name = name
@@ -285,15 +330,19 @@ def from_permutation_generators(
     if degree > ORDER_CAP:
         raise GroupTooLarge(f"permutation degree {degree} exceeds cap of {ORDER_CAP}")
     gens = [_cycles_to_perm(degree, g) for g in generators]
-    ident = tuple(range(degree))
+    # each element carries its first image again at its end, so that
+    # gathering by its points gives a tuple even at degree 1, as in
+    # FiniteGroup._classes: step(p) is p∘g = (p[g[0]], p[g[1]], ...)
+    ident = (*range(degree), 0)
+    steps = [itemgetter(*g, g[0]) for g in gens]
     elems = [ident]
     index = {ident: 0}
-    # parents[q] = (p, j): element q was found as elems[p]∘gens[j]
-    parents = [None]
+    # parents[q - 1] = (p, j): element q was found as elems[p]∘gens[j]
+    parents = []
     # elems is walked while it grows: a queue, so breadth-first
     for pi, p in enumerate(elems):
-        for j, g in enumerate(gens):
-            q = tuple(p[g[i]] for i in range(degree))
+        for j, step in enumerate(steps):
+            q = step(p)
             if q not in index:
                 if len(elems) >= ORDER_CAP:
                     raise GroupTooLarge(
@@ -302,21 +351,11 @@ def from_permutation_generators(
                 index[q] = len(elems)
                 elems.append(q)
                 parents.append((pi, j))
-    n = len(elems)
-    if n == 1:  # only the identity; itemgetter(i) would return a bare item
-        table = [(0,)]
-    else:
-        # row g of a generator, b -> g∘b = (g[b[0]], g[b[1]], ...), is
-        # looked up once; the row of q = p∘g is then row p gathered at row
-        # g, since (p∘g)∘b = p∘(g∘b).  Parents precede their children.
-        at_gen_rows = [
-            itemgetter(*(index[itemgetter(*b)(g)] for b in elems)) for g in gens
-        ]
-        table = [tuple(range(n))]
-        for pi, j in parents[1:]:
-            table.append(at_gen_rows[j](table[pi]))
-    names = [_perm_name(p) for p in elems]
-    return FiniteGroup(table, names=names, name=name, validate=False)
+    # row g of a generator, b -> g∘b = (g[b[0]], g[b[1]], ...); the row of
+    # q = p∘g is then row p gathered at row g, since (p∘g)∘b = p∘(g∘b)
+    gen_rows = [tuple(index[itemgetter(*b)(g)] for b in elems) for g in gens]
+    names = [_perm_name(p[:-1]) for p in elems]
+    return FiniteGroup._gathered(gen_rows, parents, names, name)
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -306,6 +306,64 @@ class TestTableChecks:
         assert str(err.value) == message
 
 
+class TestGatheredTableChecks:
+    """A gathered table is checked through its generator rows and parents,
+    with the row check and the messages of a table passed in whole."""
+
+    def test_z2(self):
+        G = groups.FiniteGroup._gathered([(1, 0)], [(0, 0)], None, "z2")
+        assert G.table == ((0, 1), (1, 0)) and G.inv == (0, 1)
+
+    @pytest.mark.parametrize(
+        "gen_rows, parents, message",
+        [
+            ([(1,)], [(0, 0)], "multiplication table is not square"),
+            ([(1, 0), (0,)], [(0, 0)], "multiplication table is not square"),
+            ([(1, 0.0)], [(0, 0)], "table entry 0.0 is not an integer"),
+            ([(1, True)], [(0, 0)], "table entry True is not an integer"),
+            ([(1, "0")], [(0, 0)], "table entry '0' is not an integer"),
+            ([(1, None)], [(0, 0)], "table entry None is not an integer"),
+            ([(1, -1)], [(0, 0)], "table entry -1 out of range for order 2"),
+            ([(1, 2)], [(0, 0)], "table entry 2 out of range for order 2"),
+            ([(1, 0), (1, 2)], [(0, 0)], "table entry 2 out of range for order 2"),
+            ([(1, 0)], [(1, 0)], "row 1 is gathered from row 1, not an earlier row"),
+            ([(1, 0)], [(-1, 0)], "row 1 is gathered from row -1, not an earlier row"),
+            (
+                [(1, 2, 0)],
+                [(0, 0), (2, 0)],
+                "row 2 is gathered from row 2, not an earlier row",
+            ),
+            (
+                [(1, 0)],
+                [(0, 1)],
+                "row 1 is gathered at generator 1, not one of 1",
+            ),
+            ([(1, 0)], [(0, -1)], "row 1 is gathered at generator -1, not one of 1"),
+        ],
+    )
+    def test_first_offending_entry(self, gen_rows, parents, message):
+        with pytest.raises(BadShape) as err:
+            groups.FiniteGroup._gathered(gen_rows, parents, None, "g")
+        assert str(err.value) == message
+
+    def test_symmetric6_checks_generator_rows_only(self, monkeypatch):
+        checked = []
+        check_rows = groups._check_rows
+
+        def spy(rows, n):
+            checked.extend(rows)
+            return check_rows(rows, n)
+
+        monkeypatch.setattr(groups, "_check_rows", spy)
+        G = groups.symmetric(6)
+        gens = [G.element_index("(1 2)"), G.element_index("(1 2 3 4 5 6)")]
+        assert checked == [G.table[g] for g in gens]
+        # a table passed in whole is checked on every row
+        checked.clear()
+        groups.FiniteGroup(G.table, validate=False)
+        assert checked == list(G.table)
+
+
 def is_associative(mul):
     """Every triple, checked directly: the reference for Light's test."""
     n = len(mul)
