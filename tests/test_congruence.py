@@ -257,12 +257,11 @@ class TestDeckActionBuckets:
         assert moved and split
 
 
-def _letter_walk_counts(inst, x):
-    """The class-level counts at x from the braid power itself: every
-    candidate walks all p^k copies of the word.  The reference that
-    congruence.class_counts is tested against."""
+def _letter_walk_counts(inst, big, x):
+    """The class-level counts at x from big, the braid power beta^(p^k)
+    itself: every candidate walks all p^k copies of the word.  The
+    reference that congruence.class_counts is tested against."""
     beta, G = inst.beta, inst.group
-    big = braids.braid_power(beta, inst.p**inst.k)
     lhs = dw.class_buckets(G, x, holonomy.enumerate_homs(big, G, x_constraint=x))
     rhs = dw.class_buckets(G, x, holonomy.enumerate_homs(beta, G, x_constraint=x))
     return lhs, rhs
@@ -315,8 +314,10 @@ class TestOrbitCensus:
     def test_matches_letter_walk(self, braid, p, k, gspec):
         inst = make(braid, p, k, gspec)
         n = braids.components(inst.beta).count
+        # one power per instance, so its orbit walker is compiled once
+        big = braids.braid_power(inst.beta, inst.p**inst.k)
         for x in dw.x_tuples(inst.group, n, "representatives"):
-            assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, x)
+            assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, big, x)
 
     def test_orbit_length_p_squared(self):
         # no long orbit of this instance is fixed by beta^2: they have length 4
@@ -349,8 +350,9 @@ class TestOrbitCensus:
                 assume(all(len(c) % p for c in braids.components(beta).cycles))
                 inst = congruence.check_preconditions(beta, p, k, G)
             n = braids.components(inst.beta).count
+            big = braids.braid_power(inst.beta, inst.p**inst.k)
             for x in dw.x_tuples(inst.group, n, "representatives"):
-                assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, x)
+                assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, big, x)
                 long_orbits.append(_long_orbits(inst, x))
 
         census_matches()

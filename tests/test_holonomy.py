@@ -393,6 +393,108 @@ class TestCountFromWeights:
             assert holonomy.count_fixed_tuples(b, G, allow_large=True) == 8**3
 
 
+def first_return(beta, a, G, limit):
+    """The first L <= limit at which repeating artin_action brings a back,
+    or 0: the reference for the orbit walkers."""
+    b = a
+    for L in range(1, limit + 1):
+        b = holonomy.artin_action(beta, b, G)
+        if b == a:
+            return L
+    return 0
+
+
+class TestOrbitWalker:
+    """BraidWord.orbit, the compiled walker behind _scan, against
+    artin_action, and the cap above which _scan keeps walking with _act."""
+
+    def test_matches_artin_action_property(self):
+        returns = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(data=st.data())
+        def walker_matches(data):
+            G = data.draw(st.sampled_from(CHAIN_GROUPS))
+            m = data.draw(st.integers(1, 5))
+            alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+            letters = ()
+            if alphabet:
+                letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=40))
+            b = braids.BraidWord(m, tuple(letters))
+            a = tuple(data.draw(st.sampled_from(G.elements())) for _ in range(m))
+            limit = data.draw(st.integers(1, 60))
+            L = first_return(b, a, G, limit)
+            compiled = holonomy._compile_orbit(b.steps, m)
+            assert compiled(a, G.table, G.inv, limit) == L
+            assert holonomy._walk(b.steps, a, G.table, G.inv, limit) == L
+            assert b.orbit(a, G.table, G.inv, limit) == L
+            returns.append(L)
+
+        walker_matches()
+        assert 0 in returns and 1 in returns and max(returns) > 1
+
+    def test_builds_from_integers_only(self):
+        for steps, strands in [
+            (((0.0, 1.0, True),), 2),
+            ((("0", "1", False),), 2),
+            (((0, 1, True),), "2"),
+        ]:
+            with pytest.raises(TypeError):
+                holonomy._compile_orbit(steps, strands)
+
+    def test_built_once_per_braid(self, monkeypatch):
+        built = []
+        real = holonomy._compile_orbit
+
+        def compile_orbit(steps, strands):
+            built.append(steps)
+            return real(steps, strands)
+
+        monkeypatch.setattr(holonomy, "_compile_orbit", compile_orbit)
+        b = braids.parse_braid("3: 1 -2 1 -2")
+        G = groups.symmetric(3)
+        assert holonomy.count_fixed_tuples(b, G) == len(holonomy.enumerate_homs(b, G))
+        assert sum(w for w, _, _ in holonomy.periodic_scan(b, G, (1,), 5, 2)) > 0
+        assert built == [b.steps]
+
+    def test_cap_boundary(self, monkeypatch):
+        def forbidden(steps, strands):
+            raise AssertionError("a walker was compiled over the cap")
+
+        monkeypatch.setattr(holonomy, "_WALKER_CAP", 5)
+        assert holonomy.orbit_walker(((0, 1, True), (1, 2, False)), 3).__name__ == "orbit"
+        monkeypatch.setattr(holonomy, "_compile_orbit", forbidden)
+        walk = holonomy.orbit_walker(((0, 1, True), (1, 2, False), (0, 1, True)), 3)
+        assert walk.func is holonomy._walk
+
+    def test_over_the_cap_walks_with_act(self, monkeypatch):
+        word = "3: " + "1 -2 " * 600
+        G = groups.symmetric(3)
+        n = 3  # (1 -2)^600 is a pure braid
+
+        def counts():
+            b = braids.parse_braid(word)
+            assert braids.components(b).count == n
+            weights = Counter()
+            for x in dw.x_tuples(G, n, "representatives"):
+                weights += periodic_weights(b, G, x, 5, 1)
+            return (holonomy.count_fixed_tuples(b, G), weights), b.orbit
+
+        def forbidden(steps, strands):
+            raise AssertionError("a walker was compiled over the cap")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(holonomy, "_compile_orbit", forbidden)
+            interpreted, walk = counts()
+        assert walk.func is holonomy._walk
+        with monkeypatch.context() as patched:
+            patched.setattr(holonomy, "_WALKER_CAP", 10**4)
+            compiled, walk = counts()
+        assert walk.__name__ == "orbit"
+        assert interpreted == compiled
+        assert interpreted[0] > 0 and sum(interpreted[1].values()) > 0
+
+
 class TestSearchSpace:
     def test_size_is_the_candidate_product(self, monkeypatch):
         rng = random.Random(20)
