@@ -16,33 +16,33 @@ is walked with _act.  _act stays the reference the walker is tested
 against.  Per-component meridian and longitude images are derived from a
 fixed tuple.
 
-The scan is reduced by conjugation, along a stabilizer chain of two
-levels.  Let H be the elements commuting with every prescribed meridian
+The scan is reduced by conjugation, along a stabilizer chain over the
+positions (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
+559; McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  Let H be the elements commuting with every prescribed meridian
 (all of G when none is prescribed).  Conjugating a tuple entrywise by h in
 H commutes with the braid action, since _act only forms group words, and
-maps every candidate set to itself.  So H permutes the fixed tuples.  Fix
-p0, the first position with more than one candidate, and split its
-candidates into H-orbits with G.orbits, which gives for the smallest
-member r of each orbit a transversal T0 of H / Cen_H(r): one h per orbit
-member.  Once a[p0] = r, the stabilizer Cen_H(r) still acts on the other
-positions, so the next position p1 with more than one candidate is split
-the same way into Cen_H(r)-orbits, each with its smallest member s and a
-transversal T1 of Cen_H(r) / Cen_H(r, s).  Every fixed tuple b is then
-g a g^-1, g = h0 h1, for exactly one triple: a is a fixed tuple with
-a[p0] = r and a[p1] = s, h0 in T0 moves r to b[p0], and h1 in T1 moves s
-to h0^-1 b[p1] h0.  So a stands for |T0| |T1| fixed tuples.  These are
-the first two steps of a stabilizer chain (Butler, *Fundamental Algorithms
-for Permutation Groups*, LNCS 559; McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998); without a second position with more
-than one candidate, or when H is central in G and so fixes every
-candidate (as in an abelian group), the chain has the one level p0.
-The one loop over these representatives is _scan, which walks the braid
-orbit of each a for a bounded number of steps.  enumerate_homs takes the a
-back after one step and expands each one over its two transversals; the
-result is exact, with no duplicates to remove.  count_fixed_tuples (behind
-`homs --count`) sums |T0| |T1| over the same a and builds no tuple.
+maps every candidate set to itself.  So H permutes the fixed tuples.  The
+positions are taken in order, from S = H.  The stabilizer S of the entries
+placed so far splits the pool of the next position into S-orbits with
+G.orbits; the smallest member r of each orbit is placed there, with a
+transversal T of S / Cen_S(r), one h per orbit member, and Cen_S(r) is the
+stabilizer at the next position.  Every fixed tuple b is then g a g^-1,
+g = h_0 h_1 ..., for exactly one fixed tuple a of representatives and one
+h_i in each level's T_i.  So a stands for |T_0| |T_1| ... fixed tuples.
+A position's pool is its candidates from candidate_sets; with no meridian
+prescribed, a position after the first of its cycle runs over the
+conjugacy class of that first entry, since the entries of a fixed tuple
+along one cycle are conjugate.  A central S fixes every candidate, so once
+S is central and the first entry of every cycle is placed, the rest of the
+positions are one product.  The one loop over these representatives is
+_scan, which walks the braid orbit of each a for a bounded number of
+steps.  enumerate_homs takes the a back after one step and expands each
+one over the product of its transversals; the result is exact, with no
+duplicates to remove.  count_fixed_tuples (behind `homs --count`) sums the
+weights |T_0| |T_1| ... over the same a and builds no tuple.
 periodic_scan takes the a back after p^j steps, for both closures that
-congruence.verify compares, and weighs each by |T0| |T1|.
+congruence.verify compares, and weighs each the same way.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ def longitude_image(
 def candidate_sets(G, comp, x_constraint=None, allow_large=False):
     """Per-position candidate sequences, pruned by conjugacy when meridian
     images are prescribed.  Positions with the same candidates share one
-    sequence; callers replace entries of the outer list, never edit one.
-    Raise SearchTooLarge when their product, the unreduced candidate space,
-    exceeds SEARCH_CAP, unless allow_large."""
+    sequence.  Raise SearchTooLarge when their product, the unreduced
+    candidate space, exceeds SEARCH_CAP, unless allow_large."""
     cands = [G.elements()] * sum(map(len, comp.cycles))
     if x_constraint is not None:
         if len(x_constraint) != comp.count:
@@ -253,71 +252,61 @@ def check_size(size: int, what: str, allow_large: bool = False) -> None:
 
 
 def _scan(beta, G, x_constraint, limit, allow_large=False):
-    """The one scan of the chain's representatives: walk each candidate a's
-    orbit a, f a, f^2 a, ... under beta's action f for at most limit steps.
-    Yields (a, L, t0, t1) for every a back at itself after L <= limit
-    steps, in lexicographic order of a.  t0 maps each member c of the
-    H-orbit of r = a[p0] to the h with h r h^-1 = c; t1 maps each member c
-    of the Cen_H(r)-orbit of a[p1] to the h with h a[p1] h^-1 = c, and is
-    {e: e} when the chain has one level.  The chain (see the module
-    docstring) is set up here, from beta.components.
-
-    Splitting p1 costs (number of orbits) |Cen_H(r)| conjugations, and it
-    saves scanned tuples only where Cen_H(r) moves candidates at p1.  So p1
-    is split once per distinct Cen_H(r): in a dihedral group every
-    non-central rotation has the same one.
-
-    The entries of a fixed tuple along one cycle of beta are conjugate.
-    candidate_sets prunes by this when meridians are prescribed (the p^j
-    steps of periodic_scan are prime to the cycle lengths, so beta^(p^j)
-    has beta's cycles).  Only enumerate_homs and count_fixed_tuples scan
-    without prescribed meridians, at limit 1; there every position of p0's
-    cycle other than p0 runs over the class of r, and so do the
-    representatives at p1 when p1 is on that cycle.  For the knot
-    "3: 1 -2 1 -2" over S5 that scans 753 tuples, not 19,320."""
+    """The one scan of the chain's representatives (see the module
+    docstring): walk each representative a's orbit a, f a, f^2 a, ... under
+    beta's action f for at most limit steps.  Yields (a, L, transversals)
+    for every a back at itself after L <= limit steps, in lexicographic
+    order of a: one transversal per level, mapping each member c of the
+    orbit of a's entry there to the h in that level's stabilizer that
+    conjugates the entry to c.  A position with one candidate forms no
+    level.  The orbits are split once per pool and stabilizer, and a
+    stabilizer is computed only where a later position has more than one
+    candidate.  Prescribed meridians prune by class in
+    candidate_sets, and the p^j steps of periodic_scan are prime to the
+    cycle lengths, so beta^(p^j) has beta's cycles."""
     comp = beta.components
     cands = candidate_sets(G, comp, x_constraint, allow_large)
+    m = len(cands)
     if x_constraint is None:
         H = G.elements()
+        lead = {p: cyc[0] for cyc in comp.cycles for p in cyc[1:]}
     else:
         H = set.intersection(*map(G.centralizer_set, x_constraint))
-    multi = [p for p, c in enumerate(cands) if len(c) > 1]
-    p0 = multi[0] if multi else 0
-    p1 = multi[1] if len(multi) > 1 else None
-    # a central H fixes every candidate, so it leaves nothing to split at p1
-    if p1 is not None and all(len(G.classes[G.class_of[h]].members) == 1 for h in H):
-        p1 = None
-    trans0 = G.orbits(cands[p0], H)
+        lead = {}
+    classes, class_of = G.classes, G.class_of
     orbit, mul, inv = beta.orbit, G.table, G.inv
-    trivial = {G.id: G.id}
-    # the positions whose candidates follow the class of r
-    cycle0 = ()
-    if x_constraint is None:
-        cycle0 = next(c for c in comp.cycles if p0 in c)
-    if p1 is not None:
-        level1 = cands[p1]
-        # Cen_H(r) -> its orbits on level1; where Cen_H(r) = H and p1 has
-        # p0's candidates, those are the orbits at p0
-        split = {tuple(sorted(H)): trans0} if level1 == cands[p0] else {}
-    for r, t0 in trans0.items():
-        cands[p0] = (r,)
-        c = G.class_of[r]
-        for p in cycle0:
-            if p != p0:
-                cands[p] = G.classes[c].members
-        if p1 is not None:
-            stabilizer = tuple(filter(H.__contains__, G.centralizer(r)))
-            trans1 = split.get(stabilizer)
-            if trans1 is None:
-                trans1 = split[stabilizer] = G.orbits(level1, stabilizer)
-            if p1 in cycle0:
-                cands[p1] = [s for s in trans1 if G.class_of[s] == c]
-            else:
-                cands[p1] = list(trans1)
-        for a in itertools.product(*cands):
-            L = orbit(a, mul, inv, limit)
+    central = {cl.representative for cl in classes if len(cl.members) == 1}
+    last_lead = max(lead.values(), default=-1)
+    last_multi = max((p for p, c in enumerate(cands) if len(c) > 1), default=-1)
+    split = functools.cache(G.orbits)
+
+    def pool(p, a):
+        return classes[class_of[a[lead[p]]]].members if p in lead else cands[p]
+
+    def chain(a, S, transversals):
+        """The prefixes a from which the rest of the positions are one
+        product, with the transversals of their levels."""
+        p = len(a)
+        # S fixes a lone candidate, so it forms no level
+        while p < m and len(P := pool(p, a)) == 1:
+            a, p = a + tuple(P), p + 1
+        if p > last_lead and (p > last_multi or central.issuperset(S)):
+            yield a, transversals
+            return
+        for r, t in split(pool(p, a), S).items():
+            # a stabilizer is needed only while a later position has more
+            # than one candidate
+            S_r = S
+            if p < last_multi:
+                S_r = tuple(h for h in S if mul[h][r] == mul[r][h])
+            yield from chain(a + (r,), S_r, transversals + (t,))
+
+    for a, transversals in chain((), tuple(sorted(H)), ()):
+        for b in itertools.product(*(pool(q, a) for q in range(len(a), m))):
+            b = a + b
+            L = orbit(b, mul, inv, limit)
             if L:
-                yield a, L, t0, trivial if p1 is None else trans1[a[p1]]
+                yield b, L, transversals
 
 
 def enumerate_homs(
@@ -330,20 +319,19 @@ def enumerate_homs(
     meridian and longitude data.  x_constraint optionally prescribes the
     meridian image of each closure component.
 
-    Only one representative per orbit of the two-level stabilizer chain
-    is scanned (see the module docstring); each fixed tuple found is then
-    conjugated by h0 h1 for every h1 in its level-1 transversal and every
-    h0 in its level-0 transversal, and the results are sorted.  SEARCH_CAP
-    bounds the unreduced candidate space."""
+    Only one representative per orbit of the stabilizer chain is scanned
+    (see the module docstring); each fixed tuple found is then conjugated by
+    h_0 h_1 ... for every choice of one h_i in each of its transversals, and
+    the results are sorted.  SEARCH_CAP bounds the unreduced candidate
+    space."""
     comp = beta.components
     mul, inv = G.table, G.inv
     fixed = []
-    for a, _, t0, t1 in _scan(beta, G, x_constraint, 1, allow_large):
-        for h1 in t1.values():
-            for h0 in t0.values():
-                g = mul[h0][h1]
-                gi = inv[g]
-                fixed.append(tuple([mul[mul[g][c]][gi] for c in a]))
+    for a, _, transversals in _scan(beta, G, x_constraint, 1, allow_large):
+        for hs in itertools.product(*map(dict.values, transversals)):
+            g = functools.reduce(lambda g, h: mul[g][h], hs, G.id)
+            gi = inv[g]
+            fixed.append(tuple([mul[mul[g][c]][gi] for c in a]))
     fixed.sort()
 
     records = []
@@ -370,11 +358,11 @@ def count_fixed_tuples(
     allow_large: bool = False,
 ) -> int:
     """The number of fixed tuples of the braid action, as count_homs, with
-    no record built: each scanned representative stands for |T0| |T1| of
-    them (see the module docstring)."""
+    no record built: each scanned representative stands for |T_0| |T_1| ...
+    of them (see the module docstring)."""
     return sum(
-        len(t0) * len(t1)
-        for _, _, t0, t1 in _scan(beta, G, x_constraint, 1, allow_large)
+        math.prod(map(len, transversals))
+        for _, _, transversals in _scan(beta, G, x_constraint, 1, allow_large)
     )
 
 
@@ -385,15 +373,15 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
 
     Write f for beta's action on tuples.  The action of beta^(p^k) is
     f^(p^k), its cycles have the member sets of beta's (so the candidate
-    sets, p0, p1 and the transversals are the same), and conjugation by H
-    commutes with f.  So for each scanned representative a this walks the
+    sets, the chain and its transversals are the same), and conjugation by
+    H commutes with f.  So for each scanned representative a this walks the
     f-orbit a, f a, f^2 a, ... until it returns to a, after L steps, or
     until p^k steps have passed.  a is fixed by f^(p^k) exactly when L =
     p^j with j <= k, and by f exactly when L = 1.  Yields (weight, big,
-    small) for each a fixed by f^(p^k): weight is |T0| |T1|, the number
-    of fixed tuples a stands for, big the longitude images of the closure
-    of beta^(p^k) at a, and small those of the closure of beta, or None
-    when L > 1.
+    small) for each a fixed by f^(p^k): weight is |T_0| |T_1| ..., the
+    number of fixed tuples a stands for, big the longitude images of the
+    closure of beta^(p^k) at a, and small those of the closure of beta, or
+    None when L > 1.
 
     The longitude of beta^(p^k) (see longitude_image) left-multiplies the
     holonomies of the strands of component t, of cycle c_t of length c,
@@ -413,7 +401,7 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     q = pow(p, k, order)
     frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
     frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
-    for a, L, t0, t1 in _scan(beta, G, x, limit):
+    for a, L, transversals in _scan(beta, G, x, limit):
         j, r = 0, L
         while r % p == 0:
             j, r = j + 1, r // p
@@ -426,4 +414,4 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
         e = pow(p, k - j, order)
         big = tuple(mul[G.power(g, e)][f] for g, f in zip(P, frame_big))
         small = tuple(mul[g][f] for g, f in zip(P, frame)) if L == 1 else None
-        yield len(t0) * len(t1), big, small
+        yield math.prod(map(len, transversals)), big, small

@@ -182,7 +182,7 @@ class TestHoms:
         assert "--x needs 1 element names" in capsys.readouterr().err
 
     def test_count_at_scale(self, capsys):
-        # 120^3 fixed tuples, counted from 19,320 scanned representatives
+        # 120^3 fixed tuples, counted from 14,721 scanned representatives
         start = time.perf_counter()
         code, out = run(
             capsys, "homs", "--braid", "3:", "--group", "symmetric:5", "--count"

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwlink import braids, dw, groups, holonomy
+from dwlink import braids, congruence, dw, groups, holonomy
 from dwlink.errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
 
 from wirtinger_oracle import wirtinger_count
@@ -177,8 +177,8 @@ def unreduced_homs(beta, G, x=None):
 def one_level_scan(beta, G, x_constraint, limit, allow_large=False):
     """holonomy._scan with its stabilizer chain cut after the first level:
     position p0 runs over one representative per H-orbit, every other
-    position over all its candidates, and the level-1 transversal is
-    {e: e}.  The reference that the two-level chain is tested against."""
+    position over all its candidates, and the one transversal is p0's.  The
+    reference that the chain is tested against."""
     comp = braids.components(beta)
     cands = holonomy.candidate_sets(G, comp, x_constraint, allow_large)
     if x_constraint is None:
@@ -193,7 +193,7 @@ def one_level_scan(beta, G, x_constraint, limit, allow_large=False):
         for L in range(1, limit + 1):
             b = holonomy.artin_action(beta, b, G)
             if b == a:
-                yield a, L, trans[a[p0]], {G.id: G.id}
+                yield a, L, (trans[a[p0]],)
                 break
 
 
@@ -225,6 +225,22 @@ CHAIN_GROUPS = [
     relabelled(s3, list(reversed(s3.elements()))),
     groups.symmetric(4),
 ]
+
+
+def levels(beta, G, x=None):
+    """{"three or more levels"} when the chain of some fixed tuple has at
+    least three levels, else the empty set."""
+    scan = holonomy._scan(beta, G, x, 1)
+    if any(len(transversals) >= 3 for _, _, transversals in scan):
+        return {"three or more levels"}
+    return set()
+
+
+def scanned(beta, run):
+    """The number of tuples that run() walks through beta's orbit walker."""
+    with mock.patch.dict(beta.__dict__, orbit=mock.Mock(wraps=beta.orbit)):
+        run()
+        return beta.orbit.call_count
 
 
 class TestOrbitReduction:
@@ -264,8 +280,12 @@ class TestOrbitReduction:
                 multi = [c for c in cands if len(c) > 1]
                 if len(multi) > 1 and any(len(G.centralizer(h)) < G.order for h in H):
                     covered.add("two levels")
+                covered |= levels(b, G, x)
                 recs = holonomy.enumerate_homs(b, G, x_constraint=x)
                 assert recs == one_level_homs(b, G, x) == unreduced_homs(b, G, x)
+            if any(len(c) > 1 for c in comp.cycles[1:]):
+                covered.add("a later cycle pruned by its first entry's class")
+            covered |= levels(b, G)
             recs = holonomy.enumerate_homs(b, G)
             assert recs == one_level_homs(b, G) == unreduced_homs(b, G)
         assert covered == {
@@ -273,13 +293,17 @@ class TestOrbitReduction:
             "H < G with orbits at p0",
             "several components, p0 > 0",
             "two levels",
+            "three or more levels",
+            "a later cycle pruned by its first entry's class",
         }
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_chain_matches_one_level_and_unreduced(self, data):
         G = data.draw(st.sampled_from(CHAIN_GROUPS))
-        m = data.draw(st.integers(2, 4 if G.order**4 <= 24**3 else 3))
+        m = data.draw(
+            st.integers(2, 5 if G.order <= 8 else 4 if G.order**4 <= 24**3 else 3)
+        )
         alphabet = [s * i for i in range(1, m) for s in (1, -1)]
         letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=6))
         b = braids.BraidWord(m, tuple(letters))
@@ -316,32 +340,66 @@ class TestOrbitReduction:
             )
 
     @pytest.mark.parametrize(
-        "G, splits",
+        "braid, gspec",
         [
-            # H = G is central: one level, the split at p0 only
-            (groups.cyclic(40), 1),
-            # p0, then Cen(rotation) once for all 9 non-central rotation
-            # representatives and Cen(s), Cen(s r) for the two reflection
-            # classes; Cen(e) = Cen(r^10) = G reuses the split at p0
-            (groups.dihedral(20), 4),
+            ("2: 1", "cyclic:40"),
+            ("2: 1", "dihedral:20"),
+            ("3:", "symmetric:4"),
+            ("4: 1 3", "dihedral:4"),
         ],
+        ids=["cyclic40", "dihedral20", "s4-identity", "d4-two-cycles"],
     )
-    def test_one_split_per_stabilizer(self, G, splits):
-        b = braids.parse_braid("2: 1")
+    def test_one_split_per_pool_and_stabilizer(self, braid, gspec):
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
         with mock.patch.object(G, "orbits", wraps=G.orbits) as orbits:
             recs = holonomy.enumerate_homs(b, G)
-        assert orbits.call_count == splits
+        splits = [(tuple(pool), tuple(S)) for (pool, S), _ in orbits.call_args_list]
+        assert len(set(splits)) == len(splits) > 0
         assert recs == unreduced_homs(b, G)
 
+    @pytest.mark.parametrize(
+        "braid, gspec, walked",
+        [
+            ("3: 1 -2 1 -2", "symmetric:5", 546),
+            ("3: 1 -2 1 -2", "symmetric:6", 11470),
+            ("4: 1 2 3 1 -2 3", "symmetric:5", 56657),
+        ],
+    )
+    def test_tuples_scanned_by_count(self, braid, gspec, walked):
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
+        assert scanned(b, lambda: holonomy.count_fixed_tuples(b, G)) == walked
+
+    def test_tuples_scanned_by_verify(self):
+        b, G = braids.parse_braid("3: 1 1 -2"), groups.symmetric(6)
+        instance = congruence.check_preconditions(b, 7, 1, G)
+        assert scanned(b, lambda: congruence.verify(instance)) == 5994
+
+    @pytest.mark.parametrize(
+        "braid, gspec, x",
+        [
+            # 998 fixed strands, then one 2-cycle whose x has a class of 3
+            ("1000: 999", "symmetric:3", "(1 2)"),
+            # 500 2-cycles over the trivial group, no meridian prescribed
+            ("1000: " + " ".join(map(str, range(1, 1000, 2))), "cyclic:1", None),
+        ],
+        ids=["s3-one-multi-position", "trivial-group"],
+    )
+    def test_lone_candidates_form_no_level(self, braid, gspec, x):
+        # one level per position would nest about 1,000 generators deep
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
+        if x is not None:
+            x = (G.element_index(x),) * b.components.count
+        assert holonomy.count_fixed_tuples(b, G, x) == 1
+
     def test_s6_count(self):
-        # 13,819 tuples scanned, against 5,702,400 at one level
+        # 11,470 tuples scanned, against 5,702,400 at one level
         b = braids.parse_braid("3: 1 -2 1 -2")
         assert holonomy.count_homs(b, groups.symmetric(6)) == 10080
 
 
 class TestCountFromWeights:
-    """count_fixed_tuples sums the scan's weights |T0| |T1| and builds no
-    record; count_homs counts the records enumerate_homs builds."""
+    """count_fixed_tuples sums the scan's weights |T_0| |T_1| ... and builds
+    no record; count_homs counts the records enumerate_homs builds."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
