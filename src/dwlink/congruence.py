@@ -163,10 +163,6 @@ class SweepSummary:
         self.entries = entries
 
     @property
-    def any_violation(self) -> bool:
-        return any(e.status == "violations" for e in self.entries)
-
-    @property
     def any_failure(self) -> bool:
         return any(e.status != "ok" for e in self.entries)
 

@@ -1,21 +1,21 @@
 """Finite groups as fully materialized Cayley tables.
 
-Elements are dense indices 0..order-1.  For groups built from generators the
-ordering is breadth-first discovery order with index 0 the identity; for
-groups built from an explicit table the table order is kept.  An explicit
-table must be a Latin square that passes Light's associativity test, which
-is exact, so it is a group; its identity and inverses are read off the
-table.  Every table is checked to be n rows of n exact ints in 0..n-1: a
-table passed in whole on every row, and a permutation group's table, whose
-rows are gathered from its generator rows, through those rows and the
-parent each row is gathered from (FiniteGroup._gathered).  Conjugation
-orbits are split by one routine, FiniteGroup.orbits.  Conjugacy classes are
-computed at construction; a centralizer Cen(x) is scanned from the table
-when asked for.  One routine, FiniteGroup._classes, splits G and each
-centralizer into classes.  Those of Cen(x) are built
-lazily, once per centralizer and shared by every x with it, as a table from
-each member to its class representative (FiniteGroup.cen_class_reps); the
-counting and congruence loops look classes up there, and its keys are Cen(x).
+Elements are dense indices 0..order-1.  A table gets in one of two ways.
+A table passed in whole, as a file: spec's is (from_cayley_table), keeps its
+order and is checked whole: n rows of n exact ints in 0..n-1 that form a
+Latin square and pass Light's associativity test, which is exact, so it is a
+group; its identity and inverses are read off the table.  Every built-in
+group (cyclic, dihedral, quaternion, symmetric and perm:) is gathered from
+its generator rows (FiniteGroup._gathered), with index 0 the identity and
+each further row an earlier row gathered at a generator's row; it is
+checked through those rows and the parent each row is gathered from.
+Conjugation orbits are split by one routine, FiniteGroup.orbits.  Conjugacy
+classes are computed at construction; a centralizer Cen(x) is scanned from
+the table when asked for.  One routine, FiniteGroup._classes, splits G and
+each centralizer into classes.  Those of Cen(x) are built lazily, once per
+centralizer and shared by every x with it, as a table from each member to
+its class representative (FiniteGroup.cen_class_reps); the counting and
+congruence loops look classes up there, and its keys are Cen(x).
 """
 
 from __future__ import annotations
@@ -56,6 +56,63 @@ def _check_rows(rows, n: int):
             raise BadShape(f"table entry {v} out of range for order {n}")
 
 
+def _checked_names(names, n: int) -> tuple[str, ...]:
+    """The n element names as distinct strings, "0".."n-1" for None; names
+    must be an array of JSON strings and numbers."""
+    if names is None:
+        return tuple(str(i) for i in range(n))
+    # exact types: JSON strings and numbers, not booleans or objects
+    is_array = isinstance(names, (list, tuple))
+    if not is_array or not set(map(type, names)) <= {str, int, float}:
+        raise BadShape("names is not an array of strings or numbers")
+    names = tuple(str(x) for x in names)
+    if len(names) != n:
+        raise BadShape("names length does not match order")
+    if len(set(names)) != n:
+        raise BadShape("element names are not distinct")
+    return names
+
+
+def _validate(mul):
+    """Refuse, with NotAGroup, a table of n rows of n exact ints in 0..n-1
+    that is not an associative Latin square, hence not a group (Bruck, A
+    Survey of Binary Systems, ch. I)."""
+    n = len(mul)
+    full = set(range(n))
+    for i, row in enumerate(mul):
+        if set(row) != full:
+            raise NotAGroup(f"row {i} is not a permutation of the elements")
+    for j, column in enumerate(zip(*mul)):
+        if set(column) != full:
+            raise NotAGroup(f"column {j} is not a permutation of the elements")
+    if n == 1:  # [[0]]; itemgetter(i) would return a bare item
+        return
+    # Light's test: the g with (x g) y = x (g y) for all x, y are closed
+    # under multiplication, so checking a generating set is exact.  Each
+    # generator is the smallest element not yet reached, where the
+    # reached set is closed under right multiplication by the generators.
+    # A generator is checked before it is used, so at most log2(n) + 2
+    # are picked: the checked ones lie in a group and double that set.
+    gens, reached = [], set()
+    for g in range(n):
+        if g in reached:
+            continue
+        at_gy = itemgetter(*mul[g])  # at_gy(row x) lists x (g y) over all y
+        for x, row in enumerate(mul):
+            xg_y, x_gy = mul[row[g]], at_gy(row)
+            if xg_y != x_gy:
+                y = list(map(eq, xg_y, x_gy)).index(False)
+                raise NotAGroup(f"associativity fails at witness ({x}, {g}, {y})")
+        gens.append(g)
+        reached.add(g)
+        todo = list(reached)
+        while todo:
+            row = mul[todo.pop()]
+            new = {row[h] for h in gens} - reached
+            reached |= new
+            todo += new
+
+
 class ConjClass(namedtuple("ConjClass", "representative members")):
     """A conjugacy class inside an ambient set of elements (the whole group
     or a centralizer).  The representative is the smallest member index."""
@@ -66,12 +123,12 @@ class ConjClass(namedtuple("ConjClass", "representative members")):
 class FiniteGroup:
     """Immutable finite group backed by an order x order multiplication table.
 
-    validate=True checks that the table is an associative Latin square,
-    hence a group (Bruck, A Survey of Binary Systems, ch. I); validate=False
-    means the caller vouches that it is one.  In a group 0 e = 0 only for the
-    identity e, and g h = e only for h = g^-1, so both are looked up."""
+    A table passed in whole is always checked whole: its rows, its names,
+    then Light's test.  A built-in group is gathered from its generator rows
+    (_gathered).  In a group 0 e = 0 only for the identity e, and g h = e
+    only for h = g^-1, so both are looked up."""
 
-    def __init__(self, mul, names=None, name: str = "group", validate: bool = True):
+    def __init__(self, mul, names=None, name: str = "group"):
         try:
             mul = tuple(tuple(row) for row in mul)
         except TypeError:
@@ -79,19 +136,21 @@ class FiniteGroup:
         if not mul:
             raise BadShape("empty multiplication table")
         _check_rows(mul, len(mul))
-        self._set_up(mul, names, name, validate)
+        names = _checked_names(names, len(mul))
+        _validate(mul)
+        self._set_up(mul, names, name)
 
     @classmethod
     def _gathered(cls, gen_rows, parents, names, name: str) -> FiniteGroup:
         """The group whose row 0 is the identity 0, 1, ..., n-1 and whose row
         q, for (pi, j) = parents[q - 1], is row pi gathered at gen_rows[j]:
         the table of a group closed under its generators, whose rows are
-        gen_rows, as from_permutation_generators finds it.  The caller vouches
-        that it is a group, as validate=False does.  Each generator row gets
-        the row check that __init__ runs on every row, and each parent must
-        name an earlier row and an existing generator; a gathered row then
-        holds only entries of earlier rows, so it is a row of n exact ints in
-        0..n-1 too, with no scan."""
+        gen_rows, as each built-in constructor finds it.  The caller vouches
+        that it is a group, so Light's test is not run.  Each generator row
+        gets the row check that __init__ runs on every row, and each parent
+        must name an earlier row and an existing generator; a gathered row
+        then holds only entries of earlier rows, so it is a row of n exact
+        ints in 0..n-1 too, with no scan."""
         n = len(parents) + 1
         _check_rows(gen_rows, n)
         for q, (pi, j) in enumerate(parents, 1):
@@ -103,37 +162,24 @@ class FiniteGroup:
                 raise BadShape(
                     f"row {q} is gathered at generator {j}, not one of {len(gen_rows)}"
                 )
+        names = _checked_names(names, n)
         at_gen_rows = [itemgetter(*row) for row in gen_rows]
         table = [tuple(range(n))]
         for pi, j in parents:
             table.append(at_gen_rows[j](table[pi]))
         G = object.__new__(cls)
-        G._set_up(tuple(table), names, name, validate=False)
+        G._set_up(tuple(table), names, name)
         return G
 
-    def _set_up(self, mul, names, name, validate):
-        """The set-up that follows the table checks, on a table of n rows of
-        n exact ints in 0..n-1: names, identity, inverses and classes."""
+    def _set_up(self, mul, names, name):
+        """The set-up that follows the checks, on a group's table of n rows
+        of n exact ints in 0..n-1 and its n checked names: identity,
+        inverses and classes."""
         n = len(mul)
         self.order = n
         self.table = mul
         self.name = name
-        if names is None:
-            names = tuple(str(i) for i in range(n))
-        else:
-            # exact types: JSON strings and numbers, not booleans or objects
-            is_array = isinstance(names, (list, tuple))
-            if not is_array or not set(map(type, names)) <= {str, int, float}:
-                raise BadShape("names is not an array of strings or numbers")
-            names = tuple(str(x) for x in names)
-            if len(names) != n:
-                raise BadShape("names length does not match order")
-            if len(set(names)) != n:
-                raise BadShape("element names are not distinct")
         self.names = names
-
-        if validate:
-            self._validate()
         self.id = e = mul[0].index(0)
         self.inv = tuple(row.index(e) for row in mul)
         self.classes = self._classes(range(n))
@@ -145,45 +191,6 @@ class FiniteGroup:
         # rather than added to the instance later, which slows every attribute
         # lookup on the group (every enumeration and longitude reads several).
         self._cen_reps = {}
-
-    # -- construction checks -------------------------------------------------
-
-    def _validate(self):
-        n = self.order
-        mul = self.table
-        full = set(range(n))
-        for i, row in enumerate(mul):
-            if set(row) != full:
-                raise NotAGroup(f"row {i} is not a permutation of the elements")
-        for j, column in enumerate(zip(*mul)):
-            if set(column) != full:
-                raise NotAGroup(f"column {j} is not a permutation of the elements")
-        if n == 1:  # [[0]]; itemgetter(i) would return a bare item
-            return
-        # Light's test: the g with (x g) y = x (g y) for all x, y are closed
-        # under multiplication, so checking a generating set is exact.  Each
-        # generator is the smallest element not yet reached, where the
-        # reached set is closed under right multiplication by the generators.
-        # A generator is checked before it is used, so at most log2(n) + 2
-        # are picked: the checked ones lie in a group and double that set.
-        gens, reached = [], set()
-        for g in range(n):
-            if g in reached:
-                continue
-            at_gy = itemgetter(*mul[g])  # at_gy(row x) lists x (g y) over all y
-            for x, row in enumerate(mul):
-                xg_y, x_gy = mul[row[g]], at_gy(row)
-                if xg_y != x_gy:
-                    y = list(map(eq, xg_y, x_gy)).index(False)
-                    raise NotAGroup(f"associativity fails at witness ({x}, {g}, {y})")
-            gens.append(g)
-            reached.add(g)
-            todo = list(reached)
-            while todo:
-                row = mul[todo.pop()]
-                new = {row[h] for h in gens} - reached
-                reached |= new
-                todo += new
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -363,10 +370,9 @@ def cyclic(n: int) -> FiniteGroup:
         raise InputError("cyclic group order must be positive")
     if n > ORDER_CAP:
         raise GroupTooLarge(f"cyclic group order {n} exceeds cap of {ORDER_CAP}")
-    # row a is a + b mod n over b: a window of 0..n-1 repeated twice
-    base = tuple(range(n)) * 2
-    table = [base[a : a + n] for a in range(n)]
-    return FiniteGroup(table, name=f"cyclic:{n}", validate=False)
+    # the row of the generator 1 is b -> 1 + b mod n, and a = (a - 1) + 1
+    parents = [(a - 1, 0) for a in range(1, n)]
+    return FiniteGroup._gathered([(*range(1, n), 0)], parents, None, f"cyclic:{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -378,20 +384,15 @@ def dihedral(n: int) -> FiniteGroup:
         raise GroupTooLarge(
             f"dihedral group order {order} exceeds cap of {ORDER_CAP}"
         )
-
     # r^a s^b has index a + n b, and (r^a1 s^b1)(r^a2 s^b2) is
-    # r^(a1 + (-1)^b1 a2) s^(b1 + b2).  Over a2 = 0..n-1, a1 + a2 mod n is a
-    # window of up = 0..n-1 twice and a1 - a2 mod n one of down = n-1..0
-    # twice; the reflections are the same windows shifted by n.
-    up = tuple(range(n)) * 2
-    down = up[::-1]
-    up_s, down_s = (tuple(v + n for v in w) for w in (up, down))
-    table = [up[a : a + n] + up_s[a : a + n] for a in range(n)]
-    # row n + a starts at a in down, that is at index n - 1 - a
-    table += [down_s[i : i + n] + down[i : i + n] for i in reversed(range(n))]
+    # r^(a1 + (-1)^b1 a2) s^(b1 + b2): r takes r^a s^b to r^(a+1) s^b, and s
+    # takes it to r^-a s^(1+b).  r^a = r^(a-1) r and r^a s = (r^a) s.
+    r_row = tuple((a + 1) % n + n * b for b in (0, 1) for a in range(n))
+    s_row = tuple(-a % n + n * (1 - b) for b in (0, 1) for a in range(n))
+    parents = [(a - 1, 0) for a in range(1, n)] + [(a, 1) for a in range(n)]
     names = [f"r{a}" if a else "e" for a in range(n)]
     names += [f"r{a}s" if a else "s" for a in range(n)]
-    return FiniteGroup(table, names=names, name=f"dihedral:{n}", validate=False)
+    return FiniteGroup._gathered([r_row, s_row], parents, names, f"dihedral:{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -414,34 +415,18 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 _QUAT_NAMES = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-# quaternion units as (sign, axis) with axis 0 = scalar, 1..3 = i, j, k
-_QUAT_AXIS_MUL = {
-    (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-    (1, 2): (1, 3), (2, 1): (-1, 3),
-    (2, 3): (1, 1), (3, 2): (-1, 1),
-    (3, 1): (1, 2), (1, 3): (-1, 2),
-}
 
 
 def quaternion8() -> FiniteGroup:
-    def unpack(i):
-        return (-1 if i % 2 else 1, i // 2)
-
-    def pack(sign, axis):
-        return 2 * axis + (0 if sign == 1 else 1)
-
-    def mul(a, b):
-        sa, xa = unpack(a)
-        sb, xb = unpack(b)
-        if xa == 0:
-            return pack(sa * sb, xb)
-        if xb == 0:
-            return pack(sa * sb, xa)
-        sc, xc = _QUAT_AXIS_MUL[(xa, xb)]
-        return pack(sa * sb * sc, xc)
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return FiniteGroup(table, names=_QUAT_NAMES, name="quaternion:8", validate=False)
+    # the rows of -1, i and j over _QUAT_NAMES, by i^2 = j^2 = k^2 = ijk = -1
+    gen_rows = [
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 1, 0, 6, 7, 5, 4),
+        (4, 5, 7, 6, 1, 0, 2, 3),
+    ]
+    # -1, i, -i = i (-1), j, -j = j (-1), k = i j, -k = k (-1)
+    parents = [(0, 0), (0, 1), (2, 0), (0, 2), (4, 0), (2, 2), (6, 0)]
+    return FiniteGroup._gathered(gen_rows, parents, _QUAT_NAMES, "quaternion:8")
 
 
 # -- group spec strings -----------------------------------------------------

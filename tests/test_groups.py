@@ -115,7 +115,7 @@ class TestFromPermutationGenerators:
     def test_generated_groups_pass_validation(self):
         for G in sample_groups():
             # re-validate the table through the checking constructor
-            groups.FiniteGroup(G.table, names=G.names, validate=True)
+            groups.FiniteGroup(G.table, names=G.names)
 
 
 def searched_identity(mul):
@@ -184,12 +184,12 @@ def reference_perm_group(degree, generators, name):
         for a in elems
     ]
     names = [groups._perm_name(p) for p in elems]
-    return groups.FiniteGroup(table, names=names, name=name, validate=False)
+    return groups.FiniteGroup(table, names=names, name=name)
 
 
 def reference_cyclic(n):
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return groups.FiniteGroup(table, name=f"cyclic:{n}", validate=False)
+    return groups.FiniteGroup(table, name=f"cyclic:{n}")
 
 
 def reference_dihedral(n):
@@ -201,7 +201,33 @@ def reference_dihedral(n):
         table[a1 + n * b1][a2 + n * b2] = a + n * ((b1 + b2) % 2)
     names = [f"r{a}" if a else "e" for a in range(n)]
     names += [f"r{a}s" if a else "s" for a in range(n)]
-    return groups.FiniteGroup(table, names=names, name=f"dihedral:{n}", validate=False)
+    return groups.FiniteGroup(table, names=names, name=f"dihedral:{n}")
+
+
+# quaternion units as (sign, axis), with axis 0 the scalar and 1, 2, 3 for
+# i, j, k; the product of two of i, j, k by ij = k, jk = i, ki = j
+QUAT_AXIS_MUL = {
+    (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
+    (1, 2): (1, 3), (2, 1): (-1, 3),
+    (2, 3): (1, 1), (3, 2): (-1, 1),
+    (3, 1): (1, 2), (1, 3): (-1, 2),
+}
+
+
+def reference_quaternion8():
+    """Q8 over the names 1, -1, i, -i, j, -j, k, -k, index 2 axis + (sign
+    < 0), multiplied entry by entry from the (sign, axis) rule."""
+    def mul(a, b):
+        (sa, xa), (sb, xb) = ((-1 if g % 2 else 1, g // 2) for g in (a, b))
+        if xa == 0 or xb == 0:
+            sc, xc = 1, xa + xb
+        else:
+            sc, xc = QUAT_AXIS_MUL[xa, xb]
+        return 2 * xc + (sa * sb * sc < 0)
+
+    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    return groups.FiniteGroup(table, names=names, name="quaternion:8")
 
 
 def symmetric_generators(n):
@@ -244,10 +270,13 @@ class TestTablesAgainstReference:
         R = reference_perm_group(n, symmetric_generators(n), f"symmetric:{n}")
         assert_same_group(groups.symmetric(n), R)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 360])
     def test_cyclic_and_dihedral(self, n):
         assert_same_group(groups.cyclic(n), reference_cyclic(n))
         assert_same_group(groups.dihedral(n), reference_dihedral(n))
+
+    def test_quaternion8(self):
+        assert_same_group(groups.quaternion8(), reference_quaternion8())
 
     @pytest.mark.parametrize("spec", PERM_SPECS)
     def test_perm_spec(self, spec):
@@ -302,8 +331,22 @@ class TestTableChecks:
     )
     def test_first_offending_entry(self, table, message):
         with pytest.raises(BadShape) as err:
-            groups.FiniteGroup(table, validate=False)
+            groups.FiniteGroup(table)
         assert str(err.value) == message
+
+    def test_validate_flag_is_gone(self):
+        # every table passed in whole is checked, with no way to skip it
+        with pytest.raises(TypeError):
+            groups.FiniteGroup([[0]], validate=False)
+
+
+# the generators whose rows each built-in constructor gathers from
+BUILTIN_GENERATORS = {
+    "symmetric:6": ["(1 2)", "(1 2 3 4 5 6)"],
+    "cyclic:720": ["1"],
+    "dihedral:360": ["r1", "s"],
+    "quaternion:8": ["-1", "i", "j"],
+}
 
 
 class TestGatheredTableChecks:
@@ -346,7 +389,8 @@ class TestGatheredTableChecks:
             groups.FiniteGroup._gathered(gen_rows, parents, None, "g")
         assert str(err.value) == message
 
-    def test_symmetric6_checks_generator_rows_only(self, monkeypatch):
+    @pytest.mark.parametrize("spec", BUILTIN_GENERATORS)
+    def test_checks_generator_rows_only(self, monkeypatch, spec):
         checked = []
         check_rows = groups._check_rows
 
@@ -355,12 +399,12 @@ class TestGatheredTableChecks:
             return check_rows(rows, n)
 
         monkeypatch.setattr(groups, "_check_rows", spy)
-        G = groups.symmetric(6)
-        gens = [G.element_index("(1 2)"), G.element_index("(1 2 3 4 5 6)")]
+        G = groups.from_group_spec(spec)
+        gens = map(G.element_index, BUILTIN_GENERATORS[spec])
         assert checked == [G.table[g] for g in gens]
         # a table passed in whole is checked on every row
         checked.clear()
-        groups.FiniteGroup(G.table, validate=False)
+        groups.FiniteGroup(G.table)
         assert checked == list(G.table)
 
 
@@ -441,7 +485,7 @@ class TestLightAssociativity:
     )
     def test_large_builtin_groups_pass(self, spec):
         G = groups.from_group_spec(spec)
-        groups.FiniteGroup(G.table, names=G.names, validate=True)
+        groups.FiniteGroup(G.table, names=G.names)
 
 
 class TestConjugacyClasses:
