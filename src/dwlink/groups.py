@@ -6,9 +6,9 @@ order and is checked whole: n rows of n exact ints in 0..n-1 that form a
 Latin square and pass Light's associativity test, which is exact, so it is a
 group; its identity and inverses are read off the table.  Every built-in
 group (cyclic, dihedral, quaternion, symmetric and perm:) is gathered from
-its generator rows (FiniteGroup._gathered), with index 0 the identity and
-each further row an earlier row gathered at a generator's row; it is
-checked through those rows and the parent each row is gathered from.
+its generator rows alone (FiniteGroup._gathered): index 0 is the identity,
+every further row is found breadth-first as a found row gathered at a
+generator's row, and only the generator rows are checked.
 Conjugation orbits are split by one routine, FiniteGroup.orbits.  Conjugacy
 classes are computed at construction; a centralizer Cen(x) is scanned from
 the table when asked for.  One routine, FiniteGroup._classes, splits G and
@@ -141,32 +141,34 @@ class FiniteGroup:
         self._set_up(mul, names, name)
 
     @classmethod
-    def _gathered(cls, gen_rows, parents, names, name: str) -> FiniteGroup:
-        """The group whose row 0 is the identity 0, 1, ..., n-1 and whose row
-        q, for (pi, j) = parents[q - 1], is row pi gathered at gen_rows[j]:
-        the table of a group closed under its generators, whose rows are
-        gen_rows, as each built-in constructor finds it.  The caller vouches
-        that it is a group, so Light's test is not run.  Each generator row
-        gets the row check that __init__ runs on every row, and each parent
-        must name an earlier row and an existing generator; a gathered row
-        then holds only entries of earlier rows, so it is a row of n exact
-        ints in 0..n-1 too, with no scan."""
-        n = len(parents) + 1
+    def _gathered(cls, gen_rows, n: int, names, name: str) -> FiniteGroup:
+        """The group of order n generated by the elements whose rows are
+        gen_rows, as each built-in constructor finds it.  Row 0 is the
+        identity 0, 1, ..., n-1, and the other rows are found breadth-first
+        from it.  The row r of a generator g has r[0] = g, as index 0 is the
+        identity, so at a found row pi, q = (row pi)[g] is the index of pi g,
+        and an unbuilt row q is row pi gathered at r.  Generator rows that
+        reach fewer than n rows raise BadShape.  The caller vouches that it
+        is a group, so Light's test is not run.  Each generator row gets the
+        row check that __init__ runs on every row; a gathered row then holds
+        only entries of a found row, so it is a row of n exact ints in
+        0..n-1 too, with no scan."""
         _check_rows(gen_rows, n)
-        for q, (pi, j) in enumerate(parents, 1):
-            if not 0 <= pi < q:
-                raise BadShape(
-                    f"row {q} is gathered from row {pi}, not an earlier row"
-                )
-            if not 0 <= j < len(gen_rows):
-                raise BadShape(
-                    f"row {q} is gathered at generator {j}, not one of {len(gen_rows)}"
-                )
         names = _checked_names(names, n)
-        at_gen_rows = [itemgetter(*row) for row in gen_rows]
-        table = [tuple(range(n))]
-        for pi, j in parents:
-            table.append(at_gen_rows[j](table[pi]))
+        steps = [(row[0], itemgetter(*row)) for row in gen_rows]
+        table = [None] * n
+        table[0] = tuple(range(n))
+        found = [0]
+        # found is walked while it grows: a queue, so breadth-first
+        for pi in found:
+            row = table[pi]
+            for g, at_row in steps:
+                q = row[g]
+                if table[q] is None:
+                    table[q] = at_row(row)
+                    found.append(q)
+        if len(found) < n:
+            raise BadShape(f"generator rows reach {len(found)} of {n} rows")
         G = object.__new__(cls)
         G._set_up(tuple(table), names, name)
         return G
@@ -344,11 +346,9 @@ def from_permutation_generators(
     steps = [itemgetter(*g, g[0]) for g in gens]
     elems = [ident]
     index = {ident: 0}
-    # parents[q - 1] = (p, j): element q was found as elems[p]∘gens[j]
-    parents = []
     # elems is walked while it grows: a queue, so breadth-first
-    for pi, p in enumerate(elems):
-        for j, step in enumerate(steps):
+    for p in elems:
+        for step in steps:
             q = step(p)
             if q not in index:
                 if len(elems) >= ORDER_CAP:
@@ -357,12 +357,11 @@ def from_permutation_generators(
                     )
                 index[q] = len(elems)
                 elems.append(q)
-                parents.append((pi, j))
     # row g of a generator, b -> g∘b = (g[b[0]], g[b[1]], ...); the row of
-    # q = p∘g is then row p gathered at row g, since (p∘g)∘b = p∘(g∘b)
+    # p∘g is then row p gathered at row g, since (p∘g)∘b = p∘(g∘b)
     gen_rows = [tuple(index[itemgetter(*b)(g)] for b in elems) for g in gens]
     names = [_perm_name(p[:-1]) for p in elems]
-    return FiniteGroup._gathered(gen_rows, parents, names, name)
+    return FiniteGroup._gathered(gen_rows, len(elems), names, name)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -370,9 +369,8 @@ def cyclic(n: int) -> FiniteGroup:
         raise InputError("cyclic group order must be positive")
     if n > ORDER_CAP:
         raise GroupTooLarge(f"cyclic group order {n} exceeds cap of {ORDER_CAP}")
-    # the row of the generator 1 is b -> 1 + b mod n, and a = (a - 1) + 1
-    parents = [(a - 1, 0) for a in range(1, n)]
-    return FiniteGroup._gathered([(*range(1, n), 0)], parents, None, f"cyclic:{n}")
+    # the row of the generator 1 is b -> 1 + b mod n
+    return FiniteGroup._gathered([(*range(1, n), 0)], n, None, f"cyclic:{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -386,13 +384,12 @@ def dihedral(n: int) -> FiniteGroup:
         )
     # r^a s^b has index a + n b, and (r^a1 s^b1)(r^a2 s^b2) is
     # r^(a1 + (-1)^b1 a2) s^(b1 + b2): r takes r^a s^b to r^(a+1) s^b, and s
-    # takes it to r^-a s^(1+b).  r^a = r^(a-1) r and r^a s = (r^a) s.
+    # takes it to r^-a s^(1+b)
     r_row = tuple((a + 1) % n + n * b for b in (0, 1) for a in range(n))
     s_row = tuple(-a % n + n * (1 - b) for b in (0, 1) for a in range(n))
-    parents = [(a - 1, 0) for a in range(1, n)] + [(a, 1) for a in range(n)]
     names = [f"r{a}" if a else "e" for a in range(n)]
     names += [f"r{a}s" if a else "s" for a in range(n)]
-    return FiniteGroup._gathered([r_row, s_row], parents, names, f"dihedral:{n}")
+    return FiniteGroup._gathered([r_row, s_row], order, names, f"dihedral:{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -424,9 +421,7 @@ def quaternion8() -> FiniteGroup:
         (2, 3, 1, 0, 6, 7, 5, 4),
         (4, 5, 7, 6, 1, 0, 2, 3),
     ]
-    # -1, i, -i = i (-1), j, -j = j (-1), k = i j, -k = k (-1)
-    parents = [(0, 0), (0, 1), (2, 0), (0, 2), (4, 0), (2, 2), (6, 0)]
-    return FiniteGroup._gathered(gen_rows, parents, _QUAT_NAMES, "quaternion:8")
+    return FiniteGroup._gathered(gen_rows, 8, _QUAT_NAMES, "quaternion:8")
 
 
 # -- group spec strings -----------------------------------------------------

@@ -350,43 +350,34 @@ BUILTIN_GENERATORS = {
 
 
 class TestGatheredTableChecks:
-    """A gathered table is checked through its generator rows and parents,
-    with the row check and the messages of a table passed in whole."""
+    """A gathered table is checked through its generator rows, with the row
+    check and the messages of a table passed in whole, and those rows must
+    reach every row."""
 
     def test_z2(self):
-        G = groups.FiniteGroup._gathered([(1, 0)], [(0, 0)], None, "z2")
+        G = groups.FiniteGroup._gathered([(1, 0)], 2, None, "z2")
         assert G.table == ((0, 1), (1, 0)) and G.inv == (0, 1)
 
     @pytest.mark.parametrize(
-        "gen_rows, parents, message",
+        "gen_rows, n, message",
         [
-            ([(1,)], [(0, 0)], "multiplication table is not square"),
-            ([(1, 0), (0,)], [(0, 0)], "multiplication table is not square"),
-            ([(1, 0.0)], [(0, 0)], "table entry 0.0 is not an integer"),
-            ([(1, True)], [(0, 0)], "table entry True is not an integer"),
-            ([(1, "0")], [(0, 0)], "table entry '0' is not an integer"),
-            ([(1, None)], [(0, 0)], "table entry None is not an integer"),
-            ([(1, -1)], [(0, 0)], "table entry -1 out of range for order 2"),
-            ([(1, 2)], [(0, 0)], "table entry 2 out of range for order 2"),
-            ([(1, 0), (1, 2)], [(0, 0)], "table entry 2 out of range for order 2"),
-            ([(1, 0)], [(1, 0)], "row 1 is gathered from row 1, not an earlier row"),
-            ([(1, 0)], [(-1, 0)], "row 1 is gathered from row -1, not an earlier row"),
-            (
-                [(1, 2, 0)],
-                [(0, 0), (2, 0)],
-                "row 2 is gathered from row 2, not an earlier row",
-            ),
-            (
-                [(1, 0)],
-                [(0, 1)],
-                "row 1 is gathered at generator 1, not one of 1",
-            ),
-            ([(1, 0)], [(0, -1)], "row 1 is gathered at generator -1, not one of 1"),
+            ([(1,)], 2, "multiplication table is not square"),
+            ([(1, 0), (0,)], 2, "multiplication table is not square"),
+            ([(1, 0.0)], 2, "table entry 0.0 is not an integer"),
+            ([(1, True)], 2, "table entry True is not an integer"),
+            ([(1, "0")], 2, "table entry '0' is not an integer"),
+            ([(1, None)], 2, "table entry None is not an integer"),
+            ([(1, -1)], 2, "table entry -1 out of range for order 2"),
+            ([(1, 2)], 2, "table entry 2 out of range for order 2"),
+            ([(1, 0), (1, 2)], 2, "table entry 2 out of range for order 2"),
+            ([], 2, "generator rows reach 1 of 2 rows"),
+            ([(0, 1, 2)], 3, "generator rows reach 1 of 3 rows"),
+            ([(0, 1, 2, 3), (1, 0, 3, 2)], 4, "generator rows reach 2 of 4 rows"),
         ],
     )
-    def test_first_offending_entry(self, gen_rows, parents, message):
+    def test_first_offending_entry(self, gen_rows, n, message):
         with pytest.raises(BadShape) as err:
-            groups.FiniteGroup._gathered(gen_rows, parents, None, "g")
+            groups.FiniteGroup._gathered(gen_rows, n, None, "g")
         assert str(err.value) == message
 
     @pytest.mark.parametrize("spec", BUILTIN_GENERATORS)
@@ -406,6 +397,53 @@ class TestGatheredTableChecks:
         checked.clear()
         groups.FiniteGroup(G.table)
         assert checked == list(G.table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_generating_rows(self, data):
+        # any of a group's own rows that generate it gather its very table;
+        # the rows of a proper subgroup do not reach every row
+        spec = data.draw(st.sampled_from(sorted(REGATHERED)))
+        G = groups.from_group_spec(spec)
+        elements = st.sampled_from(G.elements())
+        gens = [G.element_index(g) for g in REGATHERED[spec]]
+        gens += data.draw(st.lists(elements, max_size=3))
+        gens = data.draw(st.permutations(gens))
+        H = groups.FiniteGroup._gathered(
+            [G.table[g] for g in gens], G.order, G.names, G.name
+        )
+        assert (H.table, H.names, H.classes) == (G.table, G.names, G.classes)
+
+        picks = data.draw(st.lists(elements, max_size=3))
+        reached = generated(G, picks)
+        if len(reached) < G.order:
+            rows = [G.table[g] for g in reached]
+            rows = data.draw(st.lists(st.sampled_from(rows), max_size=4))
+            with pytest.raises(BadShape):
+                groups.FiniteGroup._gathered(rows, G.order, G.names, G.name)
+
+
+# generators of each group that the property regathers: for quaternion:8
+# and perm: a different set from the one its constructor gathers from
+REGATHERED = {
+    "symmetric:4": ["(1 2)", "(1 2 3 4)"],
+    "dihedral:6": ["r1", "s"],
+    "quaternion:8": ["i", "j"],
+    "cyclic:12": ["1"],
+    "perm:4:(1 2 3);(2 3 4)": ["(1 2 4)", "(1 3)(2 4)"],
+}
+
+
+def generated(G, picks):
+    """The subgroup generated by picks, closed under right multiplication
+    on the table."""
+    reached, todo = {G.id}, [G.id]
+    while todo:
+        row = G.table[todo.pop()]
+        new = {row[g] for g in picks} - reached
+        reached |= new
+        todo += new
+    return sorted(reached)
 
 
 def is_associative(mul):

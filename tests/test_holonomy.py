@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from unittest import mock
@@ -449,6 +450,59 @@ class TestCountFromWeights:
             with pytest.raises(SearchTooLarge):
                 holonomy.count_fixed_tuples(b, G)
             assert holonomy.count_fixed_tuples(b, G, allow_large=True) == 8**3
+
+
+def torus_count(G, m, n):
+    """|Hom(pi_1, G)| for the torus knot T(m, n), whose group is
+    <a, b | a^m = b^n> (Rolfsen, Knots and Links, ch. 3): the sum over z of
+    r_m(z) r_n(z), where r_e(z) counts the g with g^e = z.  Power maps
+    only: no scan, no braid action, no Wirtinger relations."""
+
+    def roots(e):
+        powers = []
+        for g in G.elements():
+            z = G.id
+            for _ in range(e):
+                z = G.table[z][g]
+            powers.append(z)
+        return Counter(powers)
+
+    r_m, r_n = roots(m), roots(n)
+    return sum(r_m[z] * r_n[z] for z in G.elements())
+
+
+TORUS_GROUPS = [
+    "cyclic:5",
+    "cyclic:12",
+    "dihedral:5",
+    "dihedral:6",
+    "quaternion:8",
+    "symmetric:3",
+    "symmetric:4",
+    "symmetric:5",
+    "perm:4:(1 2 3);(2 3 4)",
+    "perm:5:(1 2 3);(3 4 5)",
+]
+# the 13 torus knots T(m, n) with m <= 4 and n <= 7
+TORUS_KNOTS = [(m, n) for m in (2, 3, 4) for n in range(1, 8) if math.gcd(m, n) == 1]
+
+
+class TestTorusKnots:
+    """For gcd(m, n) = 1 the closure of (s1 s2 ... s_(m-1))^n is the torus
+    knot T(m, n), so its hom count is torus_count's."""
+
+    @pytest.mark.parametrize("spec", TORUS_GROUPS)
+    def test_count_from_power_maps(self, spec):
+        G = groups.from_group_spec(spec)
+        for m, n in TORUS_KNOTS:
+            b = braids.BraidWord(m, tuple(range(1, m)) * n)
+            assert holonomy.count_fixed_tuples(b, G) == torus_count(G, m, n)
+
+    def test_trefoil_over_s3(self):
+        # 6 abelian homs and the 6 onto S3, one per nontrivial 3-colouring
+        G = groups.symmetric(3)
+        assert torus_count(G, 2, 3) == 12
+        assert holonomy.count_fixed_tuples(braids.parse_braid("2: 1 1 1"), G) == 12
 
 
 def first_return(beta, a, G, limit):
