@@ -13,6 +13,18 @@ that g^a g^b = g^(a+b) and g^a + g^b = g^(a + zech[b-a]).  mat_mul adds up
 its dot products in the log domain.  Larger fields multiply polynomials
 modulo the modulus, except prime fields, which compute with integers mod p;
 in both, mat_mul sums each dot product over Z and reduces it once.
+
+In the log domain, _dot_products runs a loop over the terms, or the row
+kernel of the shape (c columns, each of length L): one straight-line
+function per shape, generated by _compile_row from the one-term template
+_TERM, which takes the logs of one row and of the c columns laid end to end
+and returns the c entries of that row.  It takes exp and zech as arguments,
+so one compile serves every field with tables.  A 6 x 6 product over
+GF(3^5) takes about 23 us through it, against about 39 us through the loop.
+Compiling costs about 50-65 us per term c * L, about 2 ms at 6 x 6, so the
+loop serves the first _ROW_WARMUP = 1000 rows of each shape, and shapes of
+more than _ROW_CAP = 225 terms are never compiled.  The loop stays the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +43,11 @@ MAX_K = 3  # frobenius_trace_check checks the powers p^k for k = 1..MAX_K
 # the matrix products that _power makes, MAX_K powers A^p per trial, less
 # one product whose trace alone is read, in dim^2 entry products
 FROBCHECK_CAP = 10**7
+# what the cap charges a product at least, in entry products: at dimension
+# 1 a trial costs about 29 us, nearly all of it per-call overhead, that is
+# about 4.6 us for each of its six products at p = 3, and an entry product
+# costs about 0.185 us at dimension 6 (GF(3^5), in-process)
+PRODUCT_FLOOR = 25
 
 
 # -- polynomial helpers over F_p (coefficient lists, constant term first) ----
@@ -135,7 +152,11 @@ class FqField:
 
     def _build_tables(self):
         """exp and zech have length 2(q-1), so a sum of two logs indexes exp
-        directly and a difference of two such sums indexes zech directly."""
+        directly and a difference of two such sums indexes zech directly.
+        log[0] is the sentinel 2(q-1) - 1: the log of 0 does not exist, and
+        this value lies above 2(q-2), the largest sum of two logs of nonzero
+        elements, so a sum of two logs exceeds 2(q-2) exactly when one of
+        the factors is 0.  add and mul test for 0 first and never read it."""
         p, q = self.p, self.order
         m = q - 1
         # the polynomial path finds g: the smallest element whose powers
@@ -153,6 +174,7 @@ class FqField:
         exp += exp
         # 1 + a adds 1 to the constant digit of a; zech is None where it is 0
         self.zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        log[0] = 2 * m - 1
         self.exp, self.log = exp, log
 
     # -- packing -------------------------------------------------------------
@@ -263,17 +285,106 @@ def mat_identity(field: FqField, n: int) -> FqMatrix:
     )
 
 
+# The row kernel of shape (c, L): the c dot products of one row of L logs
+# with c columns of L logs, laid end to end, as straight-line source.  Each
+# product starts from its first term and adds each further term with _TERM,
+# the loop's Zech recurrence on the locals r{k} (the row) and c{i} (the
+# columns).  s above Z marks a zero partial sum, as t above Z marks a term
+# with a zero factor.
+_TERM = """\
+    t = r{k} + c{i}
+    if t <= Z:
+        if s > Z:
+            s = t
+        else:
+            z = zech[t - s]
+            if z is None:
+                s = Z + 1
+            else:
+                s += z
+                if s >= m:
+                    s -= m"""
+
+# Compiling a shape costs about 50-65 us per term, as long as the loop
+# takes for 250-430 rows of it.  A compiled row of an n x n shape, n = 2..15,
+# takes 0.51-0.76 of the loop's time, and one of a trace-only shape (1, n^2)
+# 0.78-0.92, so a shape pays back its compile after about 400-1,700 rows
+# (n x n) or 1,300-5,300 rows (1 x n^2) (GF(3^5), in-process, best of 15).
+# The loop serves the first _ROW_WARMUP rows of a shape: a shape that stops
+# just after its compile then takes about 1.3 times as long as on the loop
+# alone, where compiling after 300 rows could take twice as long.  At 256
+# terms the compiled row takes 0.84 of the loop's time, and its locals pass
+# the 256 that a one-byte bytecode argument addresses.
+_ROW_CAP = 225
+_ROW_WARMUP = 1000
+
+_row_kernels = {}  # (c, L) -> the compiled row kernel of that shape
+_rows_served = {}  # (c, L) -> rows the loop has served, until compiled
+
+
+def _compile_row(c: int, L: int):
+    """The row kernel of shape (c, L) as one generated function
+    row(lr, lc, exp, zech, m, Z): it unpacks the row lr and the columns lc
+    into locals and returns the c entries of the product, for any field with
+    tables, whose exp and zech it takes with m = q - 1 and Z = 2(q-2).
+
+    The source handed to exec is built from _TERM and from integers only,
+    c and L passed through operator.index, so no text from outside reaches
+    exec."""
+    c, L = operator.index(c), operator.index(L)
+    lines = [
+        "def row(lr, lc, exp, zech, m, Z):",
+        "    " + "".join(f"r{k}, " for k in range(L)) + "= lr",
+        "    " + "".join(f"c{i}, " for i in range(c * L)) + "= lc",
+    ]
+    for j in range(c):
+        lines.append(f"    s = r0 + c{j * L}")
+        lines += (_TERM.format(k=k, i=j * L + k) for k in range(1, L))
+        lines.append(f"    o{j} = exp[s] if s <= Z else 0")
+    lines.append("    return " + "".join(f"o{j}, " for j in range(c)))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["row"]
+
+
+def _row_kernel(shape, rows):
+    """None, with rows more rows of shape (c, L) counted as served by the
+    loop; or, once the loop has served _ROW_WARMUP rows of the shape, its
+    row kernel, compiled and cached.  A shape of no term or of more than
+    _ROW_CAP terms always gets None."""
+    c, L = shape
+    if not 0 < c * L <= _ROW_CAP:
+        return None
+    served = _rows_served.get(shape, 0)
+    if served < _ROW_WARMUP:
+        _rows_served[shape] = served + rows
+        return None
+    kernel = _row_kernels[shape] = _compile_row(c, L)
+    return kernel
+
+
 def _dot_products(F: FqField, xs, ys):
     """The matrix over F of the dot products of each vector of xs with each
     vector of ys, all of one length."""
     if F.zech is not None:
         exp, log, zech = F.exp, F.log, F.zech
         m = F.order - 1
+        Z = 2 * m - 2  # the largest sum of two logs of nonzero elements
+        shape = len(ys), len(ys[0]) if ys else 0
+        kernel = _row_kernels.get(shape) or _row_kernel(shape, len(xs))
+        if kernel is not None:
+            # a loop, not a generator: one would make every name it reads a
+            # cell of this function, slower to read in the loop below too
+            log_cols = [log[y] for col in ys for y in col]
+            rows = []
+            for row in xs:
+                rows.append(kernel([log[x] for x in row], log_cols, exp, zech, m, Z))
+            return tuple(rows)
         log_cols = [[log[y] for y in col] for col in ys]
         # Log domain: s is the log of the partial sum, None while the sum is
-        # 0.  la + lb, the log of the next term, lies in 0..2(q-2); s stays
-        # there too, because s + zech[la + lb - s] drops q - 1 once if it
-        # reaches it.
+        # 0.  t = la + lb, the log of the next term, lies in 0..Z = 2(q-2)
+        # unless a factor is 0, whose log is above Z; s stays in 0..Z too,
+        # because s + zech[t - s] drops q - 1 once if it reaches it.
         rows = []
         for row in xs:
             log_row = [log[x] for x in row]
@@ -281,12 +392,13 @@ def _dot_products(F: FqField, xs, ys):
             for log_col in log_cols:
                 s = None
                 for la, lb in zip(log_row, log_col):
-                    if la is None or lb is None:
+                    t = la + lb
+                    if t > Z:  # a zero factor
                         continue
                     if s is None:
-                        s = la + lb
+                        s = t
                         continue
-                    z = zech[la + lb - s]
+                    z = zech[t - s]
                     if z is None:  # the partial sum cancels to 0
                         s = None
                         continue
@@ -376,7 +488,8 @@ def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) 
     arithmetic bug; they are reported, not raised.  Only the trace of the
     last power is read: with B = A^(p^(MAX_K-1)) it is tr(B^(p-1) B), n^2
     entry products in place of a last matrix product.  More entry products
-    than FROBCHECK_CAP raises ResourceError before any matrix is drawn."""
+    than FROBCHECK_CAP raises ResourceError before any matrix is drawn,
+    each product charged at least PRODUCT_FLOOR of them."""
     if dim < 1:
         raise ValueError("matrix dimension must be at least 1")
     if trials < 1:
@@ -384,12 +497,13 @@ def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) 
     p = field.p
     per_power = p.bit_length() - 1 + p.bit_count() - 1  # _power's products
     # the last power makes one matrix product fewer and n^2 entry products
-    if trials * ((MAX_K * per_power - 1) * dim**3 + dim**2) > FROBCHECK_CAP:
+    cube, square = max(dim**3, PRODUCT_FLOOR), max(dim**2, PRODUCT_FLOOR)
+    if trials * ((MAX_K * per_power - 1) * cube + square) > FROBCHECK_CAP:
         raise ResourceError(
             f"{trials} trials at dimension {dim} and p = {p} exceed the cap of "
             f"{FROBCHECK_CAP} entry products (trials * (({MAX_K} powers * "
-            f"{per_power} matrix products per power - 1) * dimension^3 + "
-            "dimension^2))"
+            f"{per_power} matrix products per power - 1) * max(dimension^3, "
+            f"{PRODUCT_FLOOR}) + max(dimension^2, {PRODUCT_FLOOR})))"
         )
     rng = random.Random(seed)
     failures = []

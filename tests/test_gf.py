@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -335,6 +336,9 @@ class TestTableCap:
             assert sorted(F.exp[:m]) == list(range(1, F.order))  # g is primitive
             assert F.exp[m:] == F.exp[:m]
             assert all(F.log[F.exp[i]] == i for i in range(m))
+            # the sentinel for 0 lies above every sum of two logs of nonzero
+            # elements
+            assert F.log[0] > 2 * max(F.log[1:])
 
 
 class TestMatrices:
@@ -445,49 +449,65 @@ class TestFrobeniusTraceCheck:
 
     def test_work_cap_boundary(self, monkeypatch):
         # trials * ((MAX_K powers * 2 products per cube (one squaring, one
-        # more product) - 1) * 3^3 entry products + 3^2 for the trace-only
-        # last product)
+        # more product) - 1) * 3^3 entry products + max(3^2, PRODUCT_FLOOR)
+        # for the trace-only last product)
+        assert gf.PRODUCT_FLOOR == 25
         F = gf.field_make(3, 2)
-        monkeypatch.setattr(gf, "FROBCHECK_CAP", 288)
-        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 2 * (5 * 27 + 9) = 288
+        monkeypatch.setattr(gf, "FROBCHECK_CAP", 320)
+        assert gf.frobenius_trace_check(F, 3, 2)["ok"]  # 2 * (5 * 27 + 25) = 320
 
         def no_draw(field, dim, rng):
             raise AssertionError("matrix drawn past the work cap")
 
         monkeypatch.setattr(gf, "random_matrix", no_draw)
         with pytest.raises(ResourceError):
-            gf.frobenius_trace_check(F, 3, 3)  # 432
+            gf.frobenius_trace_check(F, 3, 3)  # 480
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_cap_counts_the_products_made(self, monkeypatch, p):
         # the cap admits exactly the entry products of the mat_mul calls and
-        # of the trace-only products
-        F, dim, trials = gf.field_make(p, 1), 2, 3
-        mat_mul, trace_of_product, calls = gf.mat_mul, gf._trace_of_product, []
+        # of the trace-only products, each charged at least PRODUCT_FLOOR:
+        # at dimension 3 a matrix product is charged 27 and a trace-only one
+        # the floor
+        mat_mul, trace_of_product = gf.mat_mul, gf._trace_of_product
+        F, trials = gf.field_make(p, 1), 3
+        for dim in (1, 2, 3):
+            products, traces = [], []
 
-        def counted(X, Y):
-            calls.append(dim**3)
-            return mat_mul(X, Y)
+            def counted(X, Y):
+                products.append(max(dim**3, gf.PRODUCT_FLOOR))
+                return mat_mul(X, Y)
 
-        def counted_trace(X, Y):
-            calls.append(dim**2)
-            return trace_of_product(X, Y)
+            def counted_trace(X, Y):
+                traces.append(max(dim**2, gf.PRODUCT_FLOOR))
+                return trace_of_product(X, Y)
 
-        monkeypatch.setattr(gf, "mat_mul", counted)
-        monkeypatch.setattr(gf, "_trace_of_product", counted_trace)
-        assert gf.frobenius_trace_check(F, dim, trials)["ok"]
-        assert calls.count(dim**2) == trials
-        work = sum(calls)
-        monkeypatch.setattr(gf, "FROBCHECK_CAP", work)
-        assert gf.frobenius_trace_check(F, dim, trials)["ok"]
-        monkeypatch.setattr(gf, "FROBCHECK_CAP", work - 1)
-        with pytest.raises(ResourceError):
-            gf.frobenius_trace_check(F, dim, trials)
+            monkeypatch.setattr(gf, "mat_mul", counted)
+            monkeypatch.setattr(gf, "_trace_of_product", counted_trace)
+            monkeypatch.setattr(gf, "FROBCHECK_CAP", 10**7)
+            assert gf.frobenius_trace_check(F, dim, trials)["ok"]
+            assert len(traces) == trials
+            work = sum(products) + sum(traces)
+            monkeypatch.setattr(gf, "FROBCHECK_CAP", work)
+            assert gf.frobenius_trace_check(F, dim, trials)["ok"]
+            monkeypatch.setattr(gf, "FROBCHECK_CAP", work - 1)
+            with pytest.raises(ResourceError):
+                gf.frobenius_trace_check(F, dim, trials)
 
     def test_cap_admits_the_benchmark_instance(self, monkeypatch):
         # 1500 trials * ((3 powers * 2 products - 1) * 6^3 + 6^2) = 1.67e6
         # entry products admitted; 46000 trials (5.13e7) refused before any
         # matrix is drawn
+        self.check_boundary(monkeypatch, 6, 1500, 46000)
+
+    def test_cap_at_dimension_one(self, monkeypatch):
+        # each of the 6 products of a trial is charged the floor of 25:
+        # 66666 trials (9,999,900 entry products, about 2.5 s) admitted, and
+        # one more refused before any matrix is drawn
+        self.check_boundary(monkeypatch, 1, 66666, 66667)
+
+    @staticmethod
+    def check_boundary(monkeypatch, dim, admitted, refused):
         class Drawn(Exception):
             pass
 
@@ -497,9 +517,9 @@ class TestFrobeniusTraceCheck:
         monkeypatch.setattr(gf, "random_matrix", draw)
         F = gf.field_make(3, 5)
         with pytest.raises(Drawn):
-            gf.frobenius_trace_check(F, 6, 1500)
+            gf.frobenius_trace_check(F, dim, admitted)
         with pytest.raises(ResourceError):
-            gf.frobenius_trace_check(F, 6, 46000)
+            gf.frobenius_trace_check(F, dim, refused)
 
     def test_max_k_is_three(self):
         report = gf.frobenius_trace_check(gf.field_make(2, 1), 2, 1)
@@ -601,3 +621,117 @@ class TestFastPathsAgainstSlow:
                 drawn = [[slow.randrange(F.order) for _ in range(dim)] for _ in range(dim)]
                 assert gf.random_matrix(F, dim, fast) == gf.mat_from_lists(F, drawn)
             assert fast.getstate() == slow.getstate()
+
+
+# the fields with Zech-log tables that the row kernel is checked on
+ROW_KERNEL_FIELDS = [(2, 1), (2, 12), (3, 5), (7, 2), (4093, 1)]
+
+
+def loop_products(F, xs, ys):
+    """_dot_products through the loop: no shape is compiled or warm."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gf, "_row_kernels", {})
+        patched.setattr(gf, "_rows_served", {})
+        patched.setattr(gf, "_ROW_WARMUP", math.inf)
+        return gf._dot_products(F, xs, ys)
+
+
+def kernel_products(F, xs, ys):
+    """_dot_products through the compiled row kernel of their shape."""
+    shape = len(ys), len(ys[0])
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gf, "_row_kernels", {shape: gf._compile_row(*shape)})
+        return gf._dot_products(F, xs, ys)
+
+
+class TestRowKernel:
+    """The compiled row kernel behind _dot_products against the loop and
+    Reference, and the cap and warm-up that decide when a shape compiles."""
+
+    def test_matches_loop_and_reference_property(self):
+        shapes = set()
+
+        @settings(max_examples=50, deadline=None)
+        @given(data=st.data())
+        def kernel_matches(data):
+            F = field(*data.draw(st.sampled_from(ROW_KERNEL_FIELDS)))
+            ref = Reference(F)
+            n = data.draw(st.integers(1, math.isqrt(gf._ROW_CAP)))
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            for A, B in _test_matrices(F, n, rng):
+                # mat_mul's shape (n, n) and _trace_of_product's (1, n^2)
+                cols = list(zip(*B.entries))
+                flat = [[x for row in A.entries for x in row]]
+                flat_col = [[y for col in cols for y in col]]
+                for xs, ys in ((A.entries, cols), (flat, flat_col)):
+                    out = kernel_products(F, xs, ys)
+                    assert out == loop_products(F, xs, ys)
+                    # Reference on the first and last rows, where the
+                    # cancelling rows of _test_matrices lie
+                    for i in {0, len(xs) - 1}:
+                        expected = tuple(
+                            functools.reduce(ref.add, map(ref.mul, xs[i], y), 0)
+                            for y in ys
+                        )
+                        assert out[i] == expected
+                    shapes.add((len(ys), len(ys[0])))
+
+        kernel_matches()
+        assert max(c * L for c, L in shapes) == math.isqrt(gf._ROW_CAP) ** 2
+
+    def test_builds_from_integers_only(self, monkeypatch):
+        def forbidden(source, namespace):
+            raise AssertionError("exec reached with a non-integer shape")
+
+        monkeypatch.setattr(gf, "exec", forbidden, raising=False)
+        for c, L in [(2.0, 3), (2, "3"), (None, 1)]:
+            with pytest.raises(TypeError):
+                gf._compile_row(c, L)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The shapes compiled from here on, in order, with no shape
+        compiled or warm before."""
+        built = []
+        real = gf._compile_row
+
+        def compile_row(c, L):
+            built.append((c, L))
+            return real(c, L)
+
+        monkeypatch.setattr(gf, "_compile_row", compile_row)
+        monkeypatch.setattr(gf, "_row_kernels", {})
+        monkeypatch.setattr(gf, "_rows_served", {})
+        return built
+
+    def test_compiled_once_after_the_warm_up(self, built):
+        F, n = field(3, 5), 6
+        A = gf.random_matrix(F, n, random.Random(1))
+        ref = Reference(F)
+        expected = ref.mat_mul(A.entries, A.entries)
+        rows = 0
+        while not built:
+            assert rows < gf._ROW_WARMUP + n, "not compiled after the warm-up"
+            assert gf.mat_mul(A, A).entries == expected
+            rows += n
+        # the first product after _ROW_WARMUP rows compiles the shape
+        assert gf._ROW_WARMUP <= rows - n < gf._ROW_WARMUP + n
+        for _ in range(50):
+            assert gf.mat_mul(A, A).entries == expected
+            gf._trace_of_product(A, A)
+        assert built == [(n, n)]
+
+    @pytest.mark.parametrize(
+        "p, e, n", [(3, 5, math.isqrt(gf._ROW_CAP) + 1), (67, 2, 2), (4099, 1, 2)]
+    )
+    def test_never_compiled(self, built, p, e, n):
+        # a shape over the cap, in a field with tables, and shapes of both
+        # kinds in the two kinds of field without tables
+        F = field(p, e)
+        A = gf.random_matrix(F, n, random.Random(2))
+        assert (n * n > gf._ROW_CAP) == (F.zech is not None)
+        for _ in range(gf._ROW_WARMUP // n + 2):
+            gf.mat_mul(A, A)
+        for _ in range(gf._ROW_WARMUP + 2):
+            gf._trace_of_product(A, A)
+        assert built == []

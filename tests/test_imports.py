@@ -56,6 +56,15 @@ def test_homs_loads_no_field_or_congruence():
     assert not loaded & {"dwlink.gf", "dwlink.congruence"}
 
 
+def test_verify_loads_no_field():
+    # verify computes in no field, so a change to gf cannot move its time
+    loaded = loaded_by(
+        "verify", "--braid", "2: 1", "--group", "quaternion:8", "-p", "3", "-k", "1"
+    )
+    assert {"dwlink.congruence", "dwlink.holonomy"} <= loaded
+    assert "dwlink.gf" not in loaded
+
+
 def test_package_names_resolve_live_to_their_home_objects():
     # 29 public names, as when the package imported every submodule
     run_child(
