@@ -14,17 +14,17 @@ its dot products in the log domain.  Larger fields multiply polynomials
 modulo the modulus, except prime fields, which compute with integers mod p;
 in both, mat_mul sums each dot product over Z and reduces it once.
 
-In the log domain, _dot_products runs a loop over the terms, or the row
-kernel of the shape (c columns, each of length L): one straight-line
-function per shape, generated by _compile_row from the one-term template
-_TERM, which takes the logs of one row and of the c columns laid end to end
-and returns the c entries of that row.  It takes exp and zech as arguments,
-so one compile serves every field with tables.  A 6 x 6 product over
-GF(3^5) takes about 23 us through it, against about 39 us through the loop.
-Compiling costs about 50-65 us per term c * L, about 2 ms at 6 x 6, so the
-loop serves the first _ROW_WARMUP = 1000 rows of each shape, and shapes of
-more than _ROW_CAP = 225 terms are never compiled.  The loop stays the
-reference the kernel is tested against.
+In the log domain, _dot_products runs a loop over the terms, or the
+kernel of the product's shape (c columns, each of length L): one
+straight-line function per shape, which _compile_row generates from the
+one-term template _TERM.  One call unpacks the logs of the c columns, laid
+end to end, once, and returns every row of the product.  The kernel takes
+exp and zech as arguments, so one compile serves every field with tables.
+A shape compiles on its first product, at about 50-65 us per term c * L,
+about 2 ms at 6 x 6; a 6 x 6 product over GF(3^5) then takes about 21 us,
+against about 39 us through the loop.  Shapes of more than _ROW_CAP = 225
+terms are never compiled.  The loop stays the reference the kernel is
+tested against, and serves those shapes and the fields without tables.
 """
 
 from __future__ import annotations
@@ -285,82 +285,65 @@ def mat_identity(field: FqField, n: int) -> FqMatrix:
     )
 
 
-# The row kernel of shape (c, L): the c dot products of one row of L logs
-# with c columns of L logs, laid end to end, as straight-line source.  Each
+# The kernel of shape (c, L): the c dot products of each row of L logs with
+# c columns of L logs, laid end to end, as straight-line source.  Each
 # product starts from its first term and adds each further term with _TERM,
 # the loop's Zech recurrence on the locals r{k} (the row) and c{i} (the
 # columns).  s above Z marks a zero partial sum, as t above Z marks a term
 # with a zero factor.
 _TERM = """\
-    t = r{k} + c{i}
-    if t <= Z:
-        if s > Z:
-            s = t
-        else:
-            z = zech[t - s]
-            if z is None:
-                s = Z + 1
+        t = r{k} + c{i}
+        if t <= Z:
+            if s > Z:
+                s = t
             else:
-                s += z
-                if s >= m:
-                    s -= m"""
+                z = zech[t - s]
+                if z is None:
+                    s = Z + 1
+                else:
+                    s += z
+                    if s >= m:
+                        s -= m"""
 
-# Compiling a shape costs about 50-65 us per term, as long as the loop
-# takes for 250-430 rows of it.  A compiled row of an n x n shape, n = 2..15,
-# takes 0.51-0.76 of the loop's time, and one of a trace-only shape (1, n^2)
-# 0.78-0.92, so a shape pays back its compile after about 400-1,700 rows
-# (n x n) or 1,300-5,300 rows (1 x n^2) (GF(3^5), in-process, best of 15).
-# The loop serves the first _ROW_WARMUP rows of a shape: a shape that stops
-# just after its compile then takes about 1.3 times as long as on the loop
-# alone, where compiling after 300 rows could take twice as long.  At 256
-# terms the compiled row takes 0.84 of the loop's time, and its locals pass
-# the 256 that a one-byte bytecode argument addresses.
+# Compiling a shape costs about 50-65 us per term, once: as long as the
+# loop takes for 250-430 rows of it.  A compiled row of an n x n shape,
+# n = 2..15, takes 0.51-0.76 of the loop's time, and one of a trace-only
+# shape (1, n^2) 0.78-0.92 (GF(3^5), in-process, best of 15).  At 256 terms
+# the compiled row takes 0.84 of the loop's time.  A kernel has about
+# c * L + L + c locals, past the 256 that a one-byte bytecode argument
+# addresses at 15 x 15 and from (1, 144) on.
 _ROW_CAP = 225
-_ROW_WARMUP = 1000
 
-_row_kernels = {}  # (c, L) -> the compiled row kernel of that shape
-_rows_served = {}  # (c, L) -> rows the loop has served, until compiled
+_row_kernels = {}  # (c, L) -> the compiled kernel of that shape
 
 
 def _compile_row(c: int, L: int):
-    """The row kernel of shape (c, L) as one generated function
-    row(lr, lc, exp, zech, m, Z): it unpacks the row lr and the columns lc
-    into locals and returns the c entries of the product, for any field with
-    tables, whose exp and zech it takes with m = q - 1 and Z = 2(q-2).
+    """The kernel of shape (c, L) as one generated function
+    rows(xs, lc, getlog, exp, zech, m, Z): it unpacks the columns lc into
+    locals once, then each row of xs through getlog, and returns the rows
+    of the product, for any field with tables, whose exp and zech it takes
+    with m = q - 1 and Z = 2(q-2).
 
     The source handed to exec is built from _TERM and from integers only,
     c and L passed through operator.index, so no text from outside reaches
     exec."""
     c, L = operator.index(c), operator.index(L)
     lines = [
-        "def row(lr, lc, exp, zech, m, Z):",
-        "    " + "".join(f"r{k}, " for k in range(L)) + "= lr",
+        "def rows(xs, lc, getlog, exp, zech, m, Z):",
         "    " + "".join(f"c{i}, " for i in range(c * L)) + "= lc",
+        "    out = []",
+        "    for x in xs:",
+        "        " + "".join(f"r{k}, " for k in range(L)) + "= map(getlog, x)",
     ]
     for j in range(c):
-        lines.append(f"    s = r0 + c{j * L}")
+        lines.append(f"        s = r0 + c{j * L}")
         lines += (_TERM.format(k=k, i=j * L + k) for k in range(1, L))
-        lines.append(f"    o{j} = exp[s] if s <= Z else 0")
-    lines.append("    return " + "".join(f"o{j}, " for j in range(c)))
+        lines.append(f"        o{j} = exp[s] if s <= Z else 0")
+    lines.append("        out.append((" + "".join(f"o{j}, " for j in range(c)) + "))")
+    lines.append("    return tuple(out)")
     namespace = {}
     exec("\n".join(lines), namespace)
-    return namespace["row"]
-
-
-def _row_kernel(shape, rows):
-    """None, with rows more rows of shape (c, L) counted as served by the
-    loop; or, once the loop has served _ROW_WARMUP rows of the shape, its
-    row kernel, compiled and cached.  A shape of no term or of more than
-    _ROW_CAP terms always gets None."""
-    c, L = shape
-    if not 0 < c * L <= _ROW_CAP:
-        return None
-    served = _rows_served.get(shape, 0)
-    if served < _ROW_WARMUP:
-        _rows_served[shape] = served + rows
-        return None
-    kernel = _row_kernels[shape] = _compile_row(c, L)
-    return kernel
+    return namespace["rows"]
 
 
 def _dot_products(F: FqField, xs, ys):
@@ -371,15 +354,12 @@ def _dot_products(F: FqField, xs, ys):
         m = F.order - 1
         Z = 2 * m - 2  # the largest sum of two logs of nonzero elements
         shape = len(ys), len(ys[0]) if ys else 0
-        kernel = _row_kernels.get(shape) or _row_kernel(shape, len(xs))
-        if kernel is not None:
-            # a loop, not a generator: one would make every name it reads a
-            # cell of this function, slower to read in the loop below too
+        if 0 < shape[0] * shape[1] <= _ROW_CAP:
+            kernel = _row_kernels.get(shape)
+            if kernel is None:
+                kernel = _row_kernels[shape] = _compile_row(*shape)
             log_cols = [log[y] for col in ys for y in col]
-            rows = []
-            for row in xs:
-                rows.append(kernel([log[x] for x in row], log_cols, exp, zech, m, Z))
-            return tuple(rows)
+            return kernel(xs, log_cols, log.__getitem__, exp, zech, m, Z)
         log_cols = [[log[y] for y in col] for col in ys]
         # Log domain: s is the log of the partial sum, None while the sum is
         # 0.  t = la + lb, the log of the next term, lies in 0..Z = 2(q-2)

@@ -245,11 +245,15 @@ class FiniteGroup:
     def _classes(self, members) -> tuple[ConjClass, ...]:
         """The conjugacy classes of the subgroup with the ascending members.
         An abelian one, row g equal to column g on the members, needs no
-        orbit walk; members[0] is gathered twice, so one member gives a tuple."""
+        orbit walk; members[0] is gathered twice, so one member gives a tuple.
+        The member columns come one at a time from a lazy transpose of the
+        member rows, so a non-abelian one stops at its first non-central
+        member."""
         mul = self.table
         at_members = itemgetter(*members, members[0])
         rows = at_members(mul)
-        if all(at_members(mul[g]) == tuple(map(itemgetter(g), rows)) for g in members):
+        columns = compress(zip(*rows), map(set(members).__contains__, range(len(mul))))
+        if all(at_members(mul[g]) == col for g, col in zip(members, columns)):
             return tuple(ConjClass(g, (g,)) for g in members)
         orbits = self.orbits(members, members).items()
         return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)

@@ -15,6 +15,7 @@ from dwlink.errors import (
 )
 
 from test_acceptance import F21, THEOREM_CATALOG
+from two_bridge_oracle import pair_orbit
 
 
 def make(braid, p, k, gspec):
@@ -180,11 +181,6 @@ def test_class_lookup_matches_reference(monkeypatch, braid, p, k, gspec):
     assert _outputs(braid, p, k, gspec) == fast
 
 
-def _pair_orbit(G, x, h):
-    """The smallest pair in the orbit of (x, h) under conjugation by G."""
-    return min((G.conj(g, x), G.conj(g, h)) for g in G.elements())
-
-
 def _orbit_keyed_counts(beta, G, classes, power):
     """Records of beta with meridians in the classes of the tuple classes,
     over every meridian tuple in that product of classes, counted by the
@@ -195,7 +191,7 @@ def _orbit_keyed_counts(beta, G, classes, power):
         for r in holonomy.enumerate_homs(beta, G, x_constraint=x):
             counts[
                 tuple(
-                    _pair_orbit(G, xt, G.power(lt, power))
+                    pair_orbit(G, xt, G.power(lt, power))
                     for xt, lt in zip(x, r.longitude)
                 )
             ] += 1

@@ -628,11 +628,9 @@ ROW_KERNEL_FIELDS = [(2, 1), (2, 12), (3, 5), (7, 2), (4093, 1)]
 
 
 def loop_products(F, xs, ys):
-    """_dot_products through the loop: no shape is compiled or warm."""
+    """_dot_products through the loop: with _ROW_CAP at 0 no shape compiles."""
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(gf, "_row_kernels", {})
-        patched.setattr(gf, "_rows_served", {})
-        patched.setattr(gf, "_ROW_WARMUP", math.inf)
+        patched.setattr(gf, "_ROW_CAP", 0)
         return gf._dot_products(F, xs, ys)
 
 
@@ -646,7 +644,7 @@ def kernel_products(F, xs, ys):
 
 class TestRowKernel:
     """The compiled row kernel behind _dot_products against the loop and
-    Reference, and the cap and warm-up that decide when a shape compiles."""
+    Reference, and the cap that decides which shapes compile."""
 
     def test_matches_loop_and_reference_property(self):
         shapes = set()
@@ -691,7 +689,7 @@ class TestRowKernel:
     @pytest.fixture
     def built(self, monkeypatch):
         """The shapes compiled from here on, in order, with no shape
-        compiled or warm before."""
+        compiled before."""
         built = []
         real = gf._compile_row
 
@@ -701,25 +699,22 @@ class TestRowKernel:
 
         monkeypatch.setattr(gf, "_compile_row", compile_row)
         monkeypatch.setattr(gf, "_row_kernels", {})
-        monkeypatch.setattr(gf, "_rows_served", {})
         return built
 
-    def test_compiled_once_after_the_warm_up(self, built):
+    def test_compiled_once_on_first_product(self, built):
         F, n = field(3, 5), 6
         A = gf.random_matrix(F, n, random.Random(1))
         ref = Reference(F)
         expected = ref.mat_mul(A.entries, A.entries)
-        rows = 0
-        while not built:
-            assert rows < gf._ROW_WARMUP + n, "not compiled after the warm-up"
-            assert gf.mat_mul(A, A).entries == expected
-            rows += n
-        # the first product after _ROW_WARMUP rows compiles the shape
-        assert gf._ROW_WARMUP <= rows - n < gf._ROW_WARMUP + n
+        assert gf.mat_mul(A, A).entries == expected
+        assert built == [(n, n)]
+        trace = functools.reduce(ref.add, (expected[i][i] for i in range(n)), 0)
+        assert gf._trace_of_product(A, A) == trace
+        assert built == [(n, n), (1, n * n)]
         for _ in range(50):
             assert gf.mat_mul(A, A).entries == expected
-            gf._trace_of_product(A, A)
-        assert built == [(n, n)]
+            assert gf._trace_of_product(A, A) == trace
+        assert built == [(n, n), (1, n * n)]
 
     @pytest.mark.parametrize(
         "p, e, n", [(3, 5, math.isqrt(gf._ROW_CAP) + 1), (67, 2, 2), (4099, 1, 2)]
@@ -730,8 +725,7 @@ class TestRowKernel:
         F = field(p, e)
         A = gf.random_matrix(F, n, random.Random(2))
         assert (n * n > gf._ROW_CAP) == (F.zech is not None)
-        for _ in range(gf._ROW_WARMUP // n + 2):
+        for _ in range(3):
             gf.mat_mul(A, A)
-        for _ in range(gf._ROW_WARMUP + 2):
             gf._trace_of_product(A, A)
         assert built == []

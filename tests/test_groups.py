@@ -566,6 +566,31 @@ class TestConjugacyClasses:
             with pytest.raises(AssertionError, match="orbits walked"):
                 groups.from_group_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec", ["symmetric:4", "symmetric:5", "dihedral:6", "quaternion:8"]
+    )
+    def test_commutativity_shortcut_on_centralizers(self, spec, monkeypatch):
+        # a centralizer is a proper subset of the group's indices, so its
+        # member columns are picked out of every column: the shortcut is
+        # taken exactly on the abelian ones, whose classes are singletons
+        G = groups.from_group_spec(spec)
+        walked = []
+        orbits = groups.FiniteGroup.orbits
+
+        def spy(self, members, H):
+            walked.append(tuple(members))
+            return orbits(self, members, H)
+
+        monkeypatch.setattr(groups.FiniteGroup, "orbits", spy)
+        mul = G.table
+        for members in sorted({G.centralizer(x) for x in G.elements()}):
+            abelian = all(mul[g][h] == mul[h][g] for g in members for h in members)
+            walked.clear()
+            classes = G._classes(members)
+            assert walked == ([] if abelian else [members])
+            reps = {h: min(G.class_in_subgroup(members, h).members) for h in members}
+            assert {h: cl.representative for cl in classes for h in cl.members} == reps
+
     def test_partition_and_sorting(self):
         for G in sample_groups():
             members = sorted(g for c in G.classes for g in c.members)

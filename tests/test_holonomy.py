@@ -11,6 +11,12 @@ from hypothesis import given, settings, strategies as st
 from dwlink import braids, congruence, dw, groups, holonomy
 from dwlink.errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
 
+from two_bridge_oracle import (
+    pair_orbit,
+    two_bridge_count,
+    two_bridge_keyed,
+    two_bridge_word,
+)
 from wirtinger_oracle import wirtinger_count
 
 
@@ -503,6 +509,72 @@ class TestTorusKnots:
         G = groups.symmetric(3)
         assert torus_count(G, 2, 3) == 12
         assert holonomy.count_fixed_tuples(braids.parse_braid("2: 1 1 1"), G) == 12
+
+
+# (knot or link up to mirror image, alpha, beta, a braid word whose closure
+# it is); a row is kept only while its counts, and a knot's keys, agree on
+# every group of TWO_BRIDGE_GROUPS
+TWO_BRIDGE = [
+    ("3_1", 3, 1, "2: 1 1 1"),
+    ("4_1", 5, 3, "3: 1 -2 1 -2"),
+    ("5_1", 5, 1, "2: 1 1 1 1 1"),
+    ("5_2", 7, 3, "3: 1 1 1 2 -1 2"),
+    ("6_1", 9, 7, "4: 1 1 2 -1 -3 2 -3"),
+    ("7_4", 15, 11, "4: 1 1 2 -1 2 2 3 -2 3"),
+    ("Hopf", 2, 1, "2: 1 1"),
+    ("T(2,4)", 4, 1, "2: 1 1 1 1"),
+    ("T(2,6)", 6, 1, "2: 1 1 1 1 1 1"),
+    ("Whitehead", 8, 3, "3: 1 1 -2 1 -2"),
+]
+TWO_BRIDGE_GROUPS = [
+    groups.from_group_spec(spec)
+    for spec in ("symmetric:3", "dihedral:5", "symmetric:4", "quaternion:8",
+                 "dihedral:7", "symmetric:5")
+]
+
+
+class TestTwoBridge:
+    """The closures of TWO_BRIDGE's braid words against the 2-bridge
+    presentation of two_bridge_oracle: hom counts for every row, and for
+    the knots the pair orbits of (meridian, longitude) against those of
+    (a, Riley's longitude)."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta, word",
+        [row[1:] for row in TWO_BRIDGE],
+        ids=[row[0] for row in TWO_BRIDGE],
+    )
+    def test_count(self, alpha, beta, word):
+        b = braids.parse_braid(word)
+        for G in TWO_BRIDGE_GROUPS:
+            assert holonomy.count_fixed_tuples(b, G) == two_bridge_count(alpha, beta, G)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, word",
+        [row[1:] for row in TWO_BRIDGE if row[1] % 2],
+        ids=[row[0] for row in TWO_BRIDGE if row[1] % 2],
+    )
+    def test_keyed_by_longitude(self, alpha, beta, word):
+        b = braids.parse_braid(word)
+        for G in TWO_BRIDGE_GROUPS:
+            keyed = Counter(
+                pair_orbit(G, r.meridian[0], r.longitude[0])
+                for r in holonomy.enumerate_homs(b, G)
+            )
+            assert keyed == two_bridge_keyed(alpha, beta, G)
+
+    def test_conventions(self):
+        # the trefoil over S3: 6 abelian homs and 6 onto S3; the Hopf link
+        # over S3: the 18 commuting pairs; beta even is refused
+        G = groups.symmetric(3)
+        assert two_bridge_word(3, 1) == ((0, 1), (1, 1))
+        assert two_bridge_word(5, 3) == ((0, 1), (1, -1), (0, -1), (1, 1))
+        assert two_bridge_count(3, 1, G) == 12
+        assert two_bridge_count(2, 1, G) == 18
+        with pytest.raises(ValueError):
+            two_bridge_word(5, 2)
+        with pytest.raises(ValueError):
+            two_bridge_keyed(2, 1, G)
 
 
 def first_return(beta, a, G, limit):
