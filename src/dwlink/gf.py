@@ -9,22 +9,22 @@ significant, form the smallest number.
 Fields of order q up to _TABLE_CAP compute through Zech-log tables over a
 primitive element g (Lidl and Niederreiter, *Finite Fields*, ch. 9), each of
 size O(q): exp[i] = g^i, log (its inverse) and zech[i] = log(1 + g^i), so
-that g^a g^b = g^(a+b) and g^a + g^b = g^(a + zech[b-a]).  mat_mul adds up
-its dot products in the log domain.  Larger fields multiply polynomials
+that g^a g^b = g^(a+b) and g^a + g^b = g^(a + zech[b-a]).  mat_mul finds
+its terms through their logs.  Larger fields multiply polynomials
 modulo the modulus, except prime fields, which compute with integers mod p;
 in both, mat_mul sums each dot product over Z and reduces it once.
 
 In the log domain, _dot_products runs a loop over the terms, or the
-kernel of the product's shape (c columns, each of length L): one
-straight-line function per shape, which _compile_row generates from the
-one-term template _TERM.  One call unpacks the logs of the c columns, laid
-end to end, once, and returns every row of the product.  The kernel takes
-exp and zech as arguments, so one compile serves every field with tables.
-A shape compiles on its first product, at about 50-65 us per term c * L,
-about 2 ms at 6 x 6; a 6 x 6 product over GF(3^5) then takes about 21 us,
-against about 39 us through the loop.  Shapes of more than _ROW_CAP = 225
-terms are never compiled.  The loop stays the reference the kernel is
-tested against, and serves those shapes and the fields without tables.
+kernel of the product's shape (c columns, each of length L), which
+_compile_row generates as straight-line source per field and shape on its
+first product.  The kernel adds no logs through zech: D[la + lb] holds the
+digits of g^(la + lb) in slots wide enough for a sum of L digits, and 0
+where a factor is 0, so an entry is one integer sum of L lookups, reduced
+once through a table per chunk of its slots (s % p in a prime field).  A
+6 x 6 product over GF(3^5) takes about 15 us, against about 38 us through
+the loop.  Shapes of more than _ROW_CAP = 225 terms are never compiled; the
+loop, the reference the kernel is tested against, serves them and the
+fields without tables.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ MAX_K = 3  # frobenius_trace_check checks the powers p^k for k = 1..MAX_K
 # one product whose trace alone is read, in dim^2 entry products
 FROBCHECK_CAP = 10**7
 # what the cap charges a product at least, in entry products: at dimension
-# 1 a trial costs about 29 us, nearly all of it per-call overhead, that is
-# about 4.6 us for each of its six products at p = 3, and an entry product
-# costs about 0.185 us at dimension 6 (GF(3^5), in-process)
+# 1 a trial costs about 22 us, nearly all of it per-call overhead, 3.7 us for
+# each of its six products at p = 3, and an entry product about 0.1 us at
+# dimension 6 (GF(3^5), in-process); 25 was their ratio at 0.185 us
 PRODUCT_FLOOR = 25
 
 
@@ -147,6 +147,7 @@ class FqField:
 
         # Zech-log tables, or None where the field computes with polynomials
         self.exp = self.log = self.zech = None
+        self._tables, self._kernels = {}, {}  # by slot width, by shape; on first use
         if self.order <= _TABLE_CAP:
             self._build_tables()
 
@@ -285,63 +286,68 @@ def mat_identity(field: FqField, n: int) -> FqMatrix:
     )
 
 
-# The kernel of shape (c, L): the c dot products of each row of L logs with
-# c columns of L logs, laid end to end, as straight-line source.  Each
-# product starts from its first term and adds each further term with _TERM,
-# the loop's Zech recurrence on the locals r{k} (the row) and c{i} (the
-# columns).  s above Z marks a zero partial sum, as t above Z marks a term
-# with a zero factor.
-_TERM = """\
-        t = r{k} + c{i}
-        if t <= Z:
-            if s > Z:
-                s = t
-            else:
-                z = zech[t - s]
-                if z is None:
-                    s = Z + 1
-                else:
-                    s += z
-                    if s >= m:
-                        s -= m"""
-
-# Compiling a shape costs about 50-65 us per term, once: as long as the
-# loop takes for 250-430 rows of it.  A compiled row of an n x n shape,
-# n = 2..15, takes 0.51-0.76 of the loop's time, and one of a trace-only
-# shape (1, n^2) 0.78-0.92 (GF(3^5), in-process, best of 15).  At 256 terms
-# the compiled row takes 0.84 of the loop's time.  A kernel has about
-# c * L + L + c locals, past the 256 that a one-byte bytecode argument
-# addresses at 15 x 15 and from (1, 144) on.
+# Compiling a shape costs about 8-11 us per term, once, and a slot width's
+# tables 0.1-6 ms.  A compiled n x n product, n = 2..15, then takes 0.35-0.61
+# of the loop's time, a (1, n^2) one 0.67-0.88 (GF(3^5), in-process, best of 15).
 _ROW_CAP = 225
 
-_row_kernels = {}  # (c, L) -> the compiled kernel of that shape
+
+def _layout(p, L):
+    """(w, k): a slot of w bits holds a sum of L digits below p, and a chunk
+    k whole slots, in at most 12 bits unless one slot is wider."""
+    w = (L * (p - 1)).bit_length()
+    return w, max(1, 12 // w)
 
 
-def _compile_row(c: int, L: int):
-    """The kernel of shape (c, L) as one generated function
-    rows(xs, lc, getlog, exp, zech, m, Z): it unpacks the columns lc into
-    locals once, then each row of xs through getlog, and returns the rows
-    of the product, for any field with tables, whose exp and zech it takes
-    with m = q - 1 and Z = 2(q-2).
+def _digit_tables(F, w, k):
+    """[D, T0, T1, ...]: D[t] packs the digits of g^t into slots of w bits
+    for t <= Z and is 0 above Z, up to twice log[0]; T_j takes the j-th
+    chunk of k slots to its digits mod p, at their powers of p.  A prime
+    field has D alone, holding g^t itself."""
+    p, e, m = F.p, F.e, F.order - 1
+    if e == 1:
+        return [F.exp[: 2 * m - 1] + [0] * (2 * m)]
+    packed = [0]
+    for i in range(e):  # each of the q elements packed once
+        packed = [a + (d << w * i) for d in range(p) for a in packed]
+    tables = [[packed[a] for a in F.exp[: 2 * m - 1]] + [0] * (2 * m)]
+    for j in range(0, e, k):
+        T = [0]
+        for i in range(j, min(j + k, e)):  # slot by slot
+            T = [t + h for h in [d % p * p**i for d in range(1 << w)] for t in T]
+        tables.append(T)
+    return tables
 
-    The source handed to exec is built from _TERM and from integers only,
-    c and L passed through operator.index, so no text from outside reaches
-    exec."""
-    c, L = operator.index(c), operator.index(L)
+
+def _compile_row(F: FqField, c: int, L: int):
+    """The kernel of shape (c, L) over F, rows(xs, lc, log): the rows of the
+    products of xs with the c columns whose logs lc lays end to end, each
+    row's logs taken through log, with F's tables for its slot width as
+    defaults.  exec sees fixed text and integers, each through operator.index."""
+    c, L, p, e = map(operator.index, (c, L, F.p, F.e))
+    w, k = _layout(p, L)
+    key = w if e > 1 else 0  # a prime field's D has no slots
+    if key not in F._tables:
+        F._tables[key] = _digit_tables(F, w, k)
+    D, *T = F._tables[key]
+    S, n = k * w, len(T)
+    # chunk j of an entry's sum s: the first one unshifted, the last unmasked
+    chunks = [f"s >> {S * j}" if j else "s" for j in range(n)]
+    chunks = [f"{v} & {(1 << S) - 1}" for v in chunks[:-1]] + chunks[-1:]
+    reduce = " + ".join(f"T{j}[{v}]" for j, v in enumerate(chunks)) or f"s % {p}"
     lines = [
-        "def rows(xs, lc, getlog, exp, zech, m, Z):",
+        "def rows(xs, lc, log, D=D" + "".join(f", T{j}=T{j}" for j in range(n)) + "):",
         "    " + "".join(f"c{i}, " for i in range(c * L)) + "= lc",
         "    out = []",
         "    for x in xs:",
-        "        " + "".join(f"r{k}, " for k in range(L)) + "= map(getlog, x)",
+        "        " + "".join(f"r{i}, " for i in range(L)) + "= map(log, x)",
     ]
     for j in range(c):
-        lines.append(f"        s = r0 + c{j * L}")
-        lines += (_TERM.format(k=k, i=j * L + k) for k in range(1, L))
-        lines.append(f"        o{j} = exp[s] if s <= Z else 0")
+        terms = (f"D[r{i} + c{j * L + i}]" for i in range(L))
+        lines += ["        s = " + " + ".join(terms), f"        o{j} = {reduce}"]
     lines.append("        out.append((" + "".join(f"o{j}, " for j in range(c)) + "))")
     lines.append("    return tuple(out)")
-    namespace = {}
+    namespace = {"D": D, **{f"T{j}": t for j, t in enumerate(T)}}
     exec("\n".join(lines), namespace)
     return namespace["rows"]
 
@@ -351,15 +357,14 @@ def _dot_products(F: FqField, xs, ys):
     vector of ys, all of one length."""
     if F.zech is not None:
         exp, log, zech = F.exp, F.log, F.zech
-        m = F.order - 1
-        Z = 2 * m - 2  # the largest sum of two logs of nonzero elements
         shape = len(ys), len(ys[0]) if ys else 0
         if 0 < shape[0] * shape[1] <= _ROW_CAP:
-            kernel = _row_kernels.get(shape)
+            kernel = F._kernels.get(shape)
             if kernel is None:
-                kernel = _row_kernels[shape] = _compile_row(*shape)
-            log_cols = [log[y] for col in ys for y in col]
-            return kernel(xs, log_cols, log.__getitem__, exp, zech, m, Z)
+                kernel = F._kernels[shape] = _compile_row(F, *shape)
+            return kernel(xs, [log[y] for col in ys for y in col], log.__getitem__)
+        m = F.order - 1
+        Z = 2 * m - 2  # the largest sum of two logs of nonzero elements
         log_cols = [[log[y] for y in col] for col in ys]
         # Log domain: s is the log of the partial sum, None while the sum is
         # 0.  t = la + lb, the log of the next term, lies in 0..Z = 2(q-2)

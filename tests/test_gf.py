@@ -1,8 +1,10 @@
 import functools
+import io
 import itertools
 import math
 import random
 import time
+import tokenize
 import tracemalloc
 
 import pytest
@@ -623,8 +625,10 @@ class TestFastPathsAgainstSlow:
             assert fast.getstate() == slow.getstate()
 
 
-# the fields with Zech-log tables that the row kernel is checked on
-ROW_KERNEL_FIELDS = [(2, 1), (2, 12), (3, 5), (7, 2), (4093, 1)]
+# the fields with Zech-log tables that the row kernel is checked on: (3, 7)
+# has a partial last chunk for every L up to 31, (61, 2) slots wider than 12
+# bits from L = 69 on, and (2, 1) and (4093, 1) reduce by % p
+ROW_KERNEL_FIELDS = [(2, 1), (2, 12), (3, 5), (3, 7), (7, 2), (61, 2), (4093, 1)]
 
 
 def loop_products(F, xs, ys):
@@ -635,86 +639,190 @@ def loop_products(F, xs, ys):
 
 
 def kernel_products(F, xs, ys):
-    """_dot_products through the compiled row kernel of their shape."""
-    shape = len(ys), len(ys[0])
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(gf, "_row_kernels", {shape: gf._compile_row(*shape)})
-        return gf._dot_products(F, xs, ys)
+    """_dot_products through the compiled kernel of their shape, which F
+    holds afterwards."""
+    out = gf._dot_products(F, xs, ys)
+    assert (len(ys), len(ys[0])) in F._kernels
+    return out
+
+
+def table_sizes(p, e, L):
+    """The sizes of the tables that a kernel of column length L over F_{p^e}
+    takes, from _layout alone: D, then one per chunk of slots."""
+    w, k = gf._layout(p, L)
+    chunks = [min(k, e - j) for j in range(0, e, k)] if e > 1 else []
+    return [4 * (p**e - 1) - 1] + [2 ** (w * slots) for slots in chunks]
+
+
+def check_kernel(F, n, rng):
+    """The kernel against the loop and Reference on _test_matrices' pairs
+    of n x n matrices, in mat_mul's shape (n, n) and _trace_of_product's
+    (1, n^2); Reference on the first and last rows, where the cancelling
+    rows of _test_matrices lie."""
+    ref = Reference(F)
+    for A, B in _test_matrices(F, n, rng):
+        cols = list(zip(*B.entries))
+        flat = [[x for row in A.entries for x in row]]
+        flat_col = [[y for col in cols for y in col]]
+        for xs, ys in ((A.entries, cols), (flat, flat_col)):
+            out = kernel_products(F, xs, ys)
+            assert out == loop_products(F, xs, ys)
+            for i in {0, len(xs) - 1}:
+                expected = tuple(
+                    functools.reduce(ref.add, map(ref.mul, xs[i], y), 0) for y in ys
+                )
+                assert out[i] == expected
 
 
 class TestRowKernel:
     """The compiled row kernel behind _dot_products against the loop and
-    Reference, and the cap that decides which shapes compile."""
+    Reference, its tables, and the cap that decides which shapes compile."""
 
     def test_matches_loop_and_reference_property(self):
-        shapes = set()
+        sizes = set()
 
         @settings(max_examples=50, deadline=None)
         @given(data=st.data())
         def kernel_matches(data):
             F = field(*data.draw(st.sampled_from(ROW_KERNEL_FIELDS)))
-            ref = Reference(F)
             n = data.draw(st.integers(1, math.isqrt(gf._ROW_CAP)))
-            rng = random.Random(data.draw(st.integers(0, 2**32)))
-            for A, B in _test_matrices(F, n, rng):
-                # mat_mul's shape (n, n) and _trace_of_product's (1, n^2)
-                cols = list(zip(*B.entries))
-                flat = [[x for row in A.entries for x in row]]
-                flat_col = [[y for col in cols for y in col]]
-                for xs, ys in ((A.entries, cols), (flat, flat_col)):
-                    out = kernel_products(F, xs, ys)
-                    assert out == loop_products(F, xs, ys)
-                    # Reference on the first and last rows, where the
-                    # cancelling rows of _test_matrices lie
-                    for i in {0, len(xs) - 1}:
-                        expected = tuple(
-                            functools.reduce(ref.add, map(ref.mul, xs[i], y), 0)
-                            for y in ys
-                        )
-                        assert out[i] == expected
-                    shapes.add((len(ys), len(ys[0])))
+            check_kernel(F, n, random.Random(data.draw(st.integers(0, 2**32))))
+            sizes.add(n)
 
         kernel_matches()
-        assert max(c * L for c, L in shapes) == math.isqrt(gf._ROW_CAP) ** 2
+        assert max(sizes) == math.isqrt(gf._ROW_CAP)
+
+    @pytest.mark.parametrize("p, e", ROW_KERNEL_FIELDS)
+    def test_matches_loop_and_reference_at_the_cap(self, p, e):
+        # L = 15 and 225: (3, 7)'s last chunk is partial at L = 15, and
+        # (61, 2)'s slots of 14 bits at L = 225 are wider than a chunk
+        F = field(p, e)
+        check_kernel(F, math.isqrt(gf._ROW_CAP), random.Random(p + e))
+
+    @pytest.mark.parametrize("p, e", ROW_KERNEL_FIELDS)
+    def test_report_matches_loop(self, p, e):
+        F = field(p, e)
+        for n in range(1, 9):
+            report = gf.frobenius_trace_check(F, n, 2, seed=n)
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(gf, "_ROW_CAP", 0)
+                assert gf.frobenius_trace_check(F, n, 2, seed=n) == report
+
+    def test_tables_at_most_2_to_the_14(self):
+        # every field with tables, every column length that compiles
+        largest = max(
+            max(table_sizes(p, e, L))
+            for p in range(2, gf._TABLE_CAP + 1)
+            if is_prime(p)
+            for e in range(1, gf.DEGREE_CAP + 1)
+            if p**e <= gf._TABLE_CAP
+            for L in range(1, gf._ROW_CAP + 1)
+        )
+        assert largest == 2**14
+        # D, then chunks of 2, 2, 2 and 1 slots of 5 bits; and of one slot
+        # of 14 bits, wider than 12
+        assert table_sizes(3, 7, 15) == [4 * 2186 - 1, 2**10, 2**10, 2**10, 2**5]
+        assert table_sizes(61, 2, 225) == [4 * 3720 - 1, 2**14, 2**14]
+
+    @pytest.mark.parametrize("p, e", ROW_KERNEL_FIELDS)
+    def test_table_sizes_as_built(self, p, e):
+        F = gf.field_make(p, e)
+        for L in (1, 6, 15, 36, 225):
+            w, k = gf._layout(p, L)
+            tables = gf._digit_tables(F, w, k)
+            assert [len(t) for t in tables] == table_sizes(p, e, L)
+            # D is 0 exactly where a sum of two logs has a zero factor
+            Z = 2 * (F.order - 2)
+            assert all(tables[0][: Z + 1]) and not any(tables[0][Z + 1 :])
+
+    def test_field_make_builds_no_kernel(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kernel work in field_make")
+
+        monkeypatch.setattr(gf, "_digit_tables", forbidden)
+        monkeypatch.setattr(gf, "_compile_row", forbidden)
+        for p, e in ROW_KERNEL_FIELDS:
+            F = gf.field_make(p, e)
+            assert F._tables == {} and F._kernels == {}
 
     def test_builds_from_integers_only(self, monkeypatch):
         def forbidden(source, namespace):
             raise AssertionError("exec reached with a non-integer shape")
 
         monkeypatch.setattr(gf, "exec", forbidden, raising=False)
+        F = gf.field_make(3, 5)
         for c, L in [(2.0, 3), (2, "3"), (None, 1)]:
             with pytest.raises(TypeError):
-                gf._compile_row(c, L)
+                gf._compile_row(F, c, L)
+
+        sources = []
+
+        def recorded(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(gf, "exec", recorded)
+        for p, e in ROW_KERNEL_FIELDS:
+            F = gf.field_make(p, e)
+            for L in (1, 6, 15, 36, 225):
+                gf._compile_row(F, 2, L)
+                lines = io.StringIO(sources[-1]).readline
+                tokens = list(tokenize.generate_tokens(lines))
+                numbers = [t.string for t in tokens if t.type == tokenize.NUMBER]
+                assert all(s.isdigit() for s in numbers)
+                # every shift, mask and modulus in the source: the offsets
+                # of _layout's chunks after the first, the chunk mask unless
+                # one chunk holds every slot, and p in a prime field alone
+                operations = {
+                    (a.string, int(b.string))
+                    for a, b in zip(tokens, tokens[1:])
+                    if a.string in (">>", "&", "%")
+                }
+                w, k = gf._layout(p, L)
+                chunks = -(-e // k)
+                expected = {(">>", w * k * j) for j in range(1, chunks)}
+                expected |= {("&", 2 ** (w * k) - 1)} if chunks > 1 else set()
+                assert operations == (expected if e > 1 else {("%", p)})
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The shapes compiled from here on, in order, with no shape
-        compiled before."""
+        """The shapes compiled and the slot widths given tables from here
+        on, in order."""
         built = []
-        real = gf._compile_row
+        compile_row, digit_tables = gf._compile_row, gf._digit_tables
 
-        def compile_row(c, L):
+        def counted_compile(F, c, L):
             built.append((c, L))
-            return real(c, L)
+            return compile_row(F, c, L)
 
-        monkeypatch.setattr(gf, "_compile_row", compile_row)
-        monkeypatch.setattr(gf, "_row_kernels", {})
+        def counted_tables(F, w, k):
+            built.append(w)
+            return digit_tables(F, w, k)
+
+        monkeypatch.setattr(gf, "_compile_row", counted_compile)
+        monkeypatch.setattr(gf, "_digit_tables", counted_tables)
         return built
 
     def test_compiled_once_on_first_product(self, built):
-        F, n = field(3, 5), 6
+        F, n = gf.field_make(3, 5), 6
         A = gf.random_matrix(F, n, random.Random(1))
         ref = Reference(F)
         expected = ref.mat_mul(A.entries, A.entries)
         assert gf.mat_mul(A, A).entries == expected
-        assert built == [(n, n)]
+        # slots of 4 bits hold a sum of 6 digits below 3
+        assert built == [(n, n), 4]
         trace = functools.reduce(ref.add, (expected[i][i] for i in range(n)), 0)
         assert gf._trace_of_product(A, A) == trace
-        assert built == [(n, n), (1, n * n)]
+        assert built == [(n, n), 4, (1, n * n), 7]
+        # a 5 x 5 shape shares the 6 x 6 one's slot width
+        B = gf.random_matrix(F, 5, random.Random(2))
+        assert gf.mat_mul(B, B).entries == ref.mat_mul(B.entries, B.entries)
+        assert built == [(n, n), 4, (1, n * n), 7, (5, 5)]
         for _ in range(50):
             assert gf.mat_mul(A, A).entries == expected
             assert gf._trace_of_product(A, A) == trace
-        assert built == [(n, n), (1, n * n)]
+        assert built == [(n, n), 4, (1, n * n), 7, (5, 5)]
+        assert set(F._kernels) == {(n, n), (1, n * n), (5, 5)}
 
     @pytest.mark.parametrize(
         "p, e, n", [(3, 5, math.isqrt(gf._ROW_CAP) + 1), (67, 2, 2), (4099, 1, 2)]
@@ -722,10 +830,10 @@ class TestRowKernel:
     def test_never_compiled(self, built, p, e, n):
         # a shape over the cap, in a field with tables, and shapes of both
         # kinds in the two kinds of field without tables
-        F = field(p, e)
+        F = gf.field_make(p, e)
         A = gf.random_matrix(F, n, random.Random(2))
         assert (n * n > gf._ROW_CAP) == (F.zech is not None)
         for _ in range(3):
             gf.mat_mul(A, A)
             gf._trace_of_product(A, A)
-        assert built == []
+        assert built == [] and F._tables == {} and F._kernels == {}
