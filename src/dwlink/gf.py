@@ -147,7 +147,7 @@ class FqField:
 
         # Zech-log tables, or None where the field computes with polynomials
         self.exp = self.log = self.zech = None
-        self._tables, self._kernels = {}, {}  # by slot width, by shape; on first use
+        self._kernels = {}  # by shape, compiled on its first product
         if self.order <= _TABLE_CAP:
             self._build_tables()
 
@@ -286,9 +286,11 @@ def mat_identity(field: FqField, n: int) -> FqMatrix:
     )
 
 
-# Compiling a shape costs about 8-11 us per term, once, and a slot width's
+# Compiling a shape costs about 8-11 us per term, once, and building its
 # tables 0.1-6 ms.  A compiled n x n product, n = 2..15, then takes 0.35-0.61
 # of the loop's time, a (1, n^2) one 0.67-0.88 (GF(3^5), in-process, best of 15).
+# A kernel has about c * L + L + c locals, past the 256 that a one-byte
+# bytecode argument addresses at 15 x 15 and from (1, 144) on.
 _ROW_CAP = 225
 
 
@@ -322,14 +324,11 @@ def _digit_tables(F, w, k):
 def _compile_row(F: FqField, c: int, L: int):
     """The kernel of shape (c, L) over F, rows(xs, lc, log): the rows of the
     products of xs with the c columns whose logs lc lays end to end, each
-    row's logs taken through log, with F's tables for its slot width as
-    defaults.  exec sees fixed text and integers, each through operator.index."""
-    c, L, p, e = map(operator.index, (c, L, F.p, F.e))
+    row's logs taken through log, with the tables it builds for its slot
+    width as defaults.  exec sees fixed text and integers, each through operator.index."""
+    c, L, p = map(operator.index, (c, L, F.p))
     w, k = _layout(p, L)
-    key = w if e > 1 else 0  # a prime field's D has no slots
-    if key not in F._tables:
-        F._tables[key] = _digit_tables(F, w, k)
-    D, *T = F._tables[key]
+    D, *T = _digit_tables(F, w, k)
     S, n = k * w, len(T)
     # chunk j of an entry's sum s: the first one unshifted, the last unmasked
     chunks = [f"s >> {S * j}" if j else "s" for j in range(n)]
