@@ -22,7 +22,6 @@ from collections import Counter, namedtuple
 
 from .arith import is_prime
 from .braids import BraidWord, components, parse_braid
-from .dw import checked_x_tuples
 from .errors import (
     RESOURCE_FAILURES,
     ComponentMismatch,
@@ -34,7 +33,7 @@ from .errors import (
 from .groups import FiniteGroup, from_group_spec
 # enumerate_homs is not called here; it stays bound because the benchmark's
 # tests check that its tracer wraps this binding (perfbench/test_perfbench.py)
-from .holonomy import enumerate_homs, periodic_scan  # noqa: F401
+from .holonomy import checked_x_tuples, enumerate_homs, periodic_scan  # noqa: F401
 
 
 # beta a BraidWord, group a FiniteGroup

@@ -9,13 +9,12 @@ stored.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
-from .braids import BraidWord, ComponentData, components
+from .braids import BraidWord, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
-from .holonomy import candidate_sets, check_size, enumerate_homs
+from .holonomy import checked_x_tuples, enumerate_homs
 
 
 def _check_lengths(n, x, h):
@@ -101,33 +100,6 @@ class DWTable:
             "x_scope": self.x_scope,
             "entries": entries,
         }
-
-
-def _x_pool(G: FiniteGroup, scope: str):
-    if scope == "all":
-        return G.elements()
-    if scope == "representatives":
-        return [c.representative for c in G.classes]
-    raise ValueError(f"unknown x scope {scope!r}")
-
-
-def x_tuples(G: FiniteGroup, n: int, scope: str):
-    """Meridian-prescription tuples: one class representative per component
-    by default, or all of G^n with scope='all'."""
-    return itertools.product(_x_pool(G, scope), repeat=n)
-
-
-def checked_x_tuples(G: FiniteGroup, comp: ComponentData, scope: str):
-    """x_tuples for the closure of comp, once the sweep is known to fit:
-    at most SEARCH_CAP tuples (each costs at least one scanned candidate),
-    and no tuple's search space over SEARCH_CAP, checked through the largest
-    before any x is scanned: the space at x is the product over components
-    of |C(x_t)|^(|c_t| - 1), largest at a largest class C(x_t) for every t."""
-    pool = _x_pool(G, scope)
-    check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
-    largest = max(G.classes, key=lambda c: len(c.members)).representative
-    candidate_sets(G, comp, (largest,) * comp.count)
-    return x_tuples(G, comp.count, scope)
 
 
 def dw_table(

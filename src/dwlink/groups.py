@@ -9,13 +9,13 @@ group (cyclic, dihedral, quaternion, symmetric and perm:) is gathered from
 its generator rows alone (FiniteGroup._gathered): index 0 is the identity,
 every further row is found breadth-first as a found row gathered at a
 generator's row, and only the generator rows are checked.
-Conjugation orbits are split by one routine, FiniteGroup.orbits.  Conjugacy
-classes are computed at construction; a centralizer Cen(x) is scanned from
-the table when asked for.  One routine, FiniteGroup._classes, splits G and
-each centralizer into classes.  Those of Cen(x) are built lazily, once per
-centralizer and shared by every x with it, as a table from each member to
-its class representative (FiniteGroup.cen_class_reps); the counting and
-congruence loops look classes up there, and its keys are Cen(x).
+Conjugation orbits are split by one routine, FiniteGroup.orbits, and
+conjugacy classes by one, FiniteGroup._classes, from the table on a
+subgroup's members: G's at construction, every other centralizer's once, on
+first use, as a table from each member to its class representative
+(FiniteGroup.cen_class_reps), shared by every x with that Cen(x), which is
+scanned from the table when asked for; a central x gets G's.  The counting
+and congruence loops look classes up there, and its keys are Cen(x).
 """
 
 from __future__ import annotations
@@ -244,16 +244,15 @@ class FiniteGroup:
 
     def _classes(self, members) -> tuple[ConjClass, ...]:
         """The conjugacy classes of the subgroup with the ascending members.
-        An abelian one, row g equal to column g on the members, needs no
-        orbit walk; members[0] is gathered twice, so one member gives a tuple.
-        The member columns come one at a time from a lazy transpose of the
-        member rows, so a non-abelian one stops at its first non-central
-        member."""
-        mul = self.table
-        at_members = itemgetter(*members, members[0])
-        rows = at_members(mul)
-        columns = compress(zip(*rows), map(set(members).__contains__, range(len(mul))))
-        if all(at_members(mul[g]) == col for g, col in zip(members, columns)):
+        An abelian one, its table on the members equal to its transpose,
+        needs no orbit walk.  That table is G's for G, else gathered (k+1) x
+        (k+1) for k members, members[0] twice so that k = 1 gives tuples; its
+        lazy transpose stops a non-abelian one at its first non-central member."""
+        sub = mul = self.table
+        if len(members) < len(mul):
+            at_members = itemgetter(*members, members[0])
+            sub = tuple(map(at_members, at_members(mul)))
+        if all(map(eq, sub, zip(*sub))):
             return tuple(ConjClass(g, (g,)) for g in members)
         orbits = self.orbits(members, members).items()
         return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)
@@ -274,13 +273,15 @@ class FiniteGroup:
     def cen_class_reps(self, x: int) -> dict[int, int]:
         """Map every h in Cen(x) to the smallest member of its conjugacy
         class inside Cen(x).  Built on first use, and shared by every x with
-        the same Cen(x): the same dict, which callers must not modify."""
+        the same Cen(x), G's classes for a central x: the same dict, which
+        callers must not modify."""
         reps = self._cen_reps.get(x)
         if reps is None:
             members = self.centralizer(x)
             reps = self._cen_reps.get(members)
             if reps is None:
-                classes = self._classes(members)
+                whole = len(members) == self.order
+                classes = self.classes if whole else self._classes(members)
                 reps = self._cen_reps[members] = {c: r for r, cl in classes for c in cl}
             self._cen_reps[x] = reps
         return reps

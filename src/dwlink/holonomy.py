@@ -53,7 +53,7 @@ import math
 import operator
 from collections import Counter, namedtuple
 
-from .braids import BraidWord
+from .braids import BraidWord, ComponentData
 from .errors import LengthMismatch, NotAFixedPoint, SearchTooLarge
 from .groups import FiniteGroup
 
@@ -249,6 +249,33 @@ def check_size(size: int, what: str, allow_large: bool = False) -> None:
     except ValueError:  # more decimal digits than Python will print
         shown = f"at least 2^{size.bit_length() - 1}"
     raise SearchTooLarge(what.format(shown) + f" exceeds cap {SEARCH_CAP}")
+
+
+def _x_pool(G: FiniteGroup, scope: str):
+    if scope == "all":
+        return G.elements()
+    if scope == "representatives":
+        return [c.representative for c in G.classes]
+    raise ValueError(f"unknown x scope {scope!r}")
+
+
+def x_tuples(G: FiniteGroup, n: int, scope: str):
+    """Meridian-prescription tuples: one class representative per component
+    by default, or all of G^n with scope='all'."""
+    return itertools.product(_x_pool(G, scope), repeat=n)
+
+
+def checked_x_tuples(G: FiniteGroup, comp: ComponentData, scope: str):
+    """x_tuples for the closure of comp, once the sweep is known to fit:
+    at most SEARCH_CAP tuples (each costs at least one scanned candidate),
+    and no tuple's search space over SEARCH_CAP, checked through the largest
+    before any x is scanned: the space at x is the product over components
+    of |C(x_t)|^(|c_t| - 1), largest at a largest class C(x_t) for every t."""
+    pool = _x_pool(G, scope)
+    check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
+    largest = max(G.classes, key=lambda c: len(c.members)).representative
+    candidate_sets(G, comp, (largest,) * comp.count)
+    return x_tuples(G, comp.count, scope)
 
 
 def _scan(beta, G, x_constraint, limit, allow_large=False):

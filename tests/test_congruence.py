@@ -312,14 +312,14 @@ class TestOrbitCensus:
         n = braids.components(inst.beta).count
         # one power per instance, so its orbit walker is compiled once
         big = braids.braid_power(inst.beta, inst.p**inst.k)
-        for x in dw.x_tuples(inst.group, n, "representatives"):
+        for x in holonomy.x_tuples(inst.group, n, "representatives"):
             assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, big, x)
 
     def test_orbit_length_p_squared(self):
         # no long orbit of this instance is fixed by beta^2: they have length 4
         def long_orbits(k):
             inst = make("4: 2 -1 2 2 1 3 3 3", 2, k, F21)
-            xs = dw.x_tuples(inst.group, 2, "representatives")
+            xs = holonomy.x_tuples(inst.group, 2, "representatives")
             return sum(_long_orbits(inst, x) for x in xs)
 
         assert long_orbits(1) == 0 and long_orbits(2) > 0
@@ -347,7 +347,7 @@ class TestOrbitCensus:
                 inst = congruence.check_preconditions(beta, p, k, G)
             n = braids.components(inst.beta).count
             big = braids.braid_power(inst.beta, inst.p**inst.k)
-            for x in dw.x_tuples(inst.group, n, "representatives"):
+            for x in holonomy.x_tuples(inst.group, n, "representatives"):
                 assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, big, x)
                 long_orbits.append(_long_orbits(inst, x))
 
@@ -376,7 +376,7 @@ def _dense_verify(inst, x_scope="representatives"):
     q = pow(p, inst.k, G.order)
     n = braids.components(inst.beta).count
     report = congruence.CongruenceReport(inst, n)
-    for x in dw.x_tuples(G, n, x_scope):
+    for x in holonomy.x_tuples(G, n, x_scope):
         lhs, rhs = congruence.class_counts(inst, x)
         reps = [G.cen_class_reps(xt) for xt in x]
         rep_lists = [sorted(set(rep.values())) for rep in reps]
@@ -401,7 +401,7 @@ def _forward_map_verify(inst, x_scope="representatives"):
     r = pow(p, -inst.k, G.order)
     n = braids.components(inst.beta).count
     report = congruence.CongruenceReport(inst, n)
-    for x in dw.x_tuples(G, n, x_scope):
+    for x in holonomy.x_tuples(G, n, x_scope):
         lhs, rhs = congruence.class_counts(inst, x)
         reps = [G.cen_class_reps(xt) for xt in x]
         report.cases_checked += math.prod(len(set(rep.values())) for rep in reps)
@@ -483,15 +483,16 @@ class TestCaseLoop:
 
 class TestClassTablesPerCentralizer:
     """A sweep over every x splits each distinct centralizer into its
-    classes once: e and r^10 of D20 share Cen = G, the other rotations the
-    rotations, and r^a s only {e, r^10, r^a s, r^(a+10) s}."""
+    classes once, G when it is built and never again: e and r^10 of D20 are
+    central and take G's classes, the other rotations share the rotations,
+    and r^a s has only {e, r^10, r^a s, r^(a+10) s}.  So the sweep splits
+    none of cyclic:40's centralizers and 11 of dihedral:20's."""
 
     @pytest.mark.parametrize("spec, distinct", [("cyclic:40", 1), ("dihedral:20", 12)])
     @pytest.mark.parametrize("command", ["verify", "dw_table"])
     def test_one_split_per_distinct_centralizer(
         self, monkeypatch, command, spec, distinct
     ):
-        G = groups.from_group_spec(spec)
         split, classes = [], groups.FiniteGroup._classes
 
         def spy(self, members):
@@ -499,6 +500,9 @@ class TestClassTablesPerCentralizer:
             return classes(self, members)
 
         monkeypatch.setattr(groups.FiniteGroup, "_classes", spy)
+        G = groups.from_group_spec(spec)
+        whole = tuple(G.elements())
+        assert split == [whole]
         beta = braids.parse_braid("2:")  # two components: x ranges over G^2
         if command == "verify":
             inst = congruence.check_preconditions(beta, 3, 1, G)

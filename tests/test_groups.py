@@ -567,12 +567,17 @@ class TestConjugacyClasses:
                 groups.from_group_spec(spec)
 
     @pytest.mark.parametrize(
-        "spec", ["symmetric:4", "symmetric:5", "dihedral:6", "quaternion:8"]
+        "spec",
+        [
+            "symmetric:4", "symmetric:5", "dihedral:6", "quaternion:8",
+            "dihedral:15", "dihedral:16", "cyclic:12",
+        ],
     )
     def test_commutativity_shortcut_on_centralizers(self, spec, monkeypatch):
-        # a centralizer is a proper subset of the group's indices, so its
-        # member columns are picked out of every column: the shortcut is
-        # taken exactly on the abelian ones, whose classes are singletons
+        # a proper subgroup's table is gathered on its members alone: the
+        # shortcut is taken exactly on the abelian ones, whose classes are
+        # singletons.  The rotations of dihedral:15 and dihedral:16 are
+        # abelian and hold half of G; {e} gathers one member, twice
         G = groups.from_group_spec(spec)
         walked = []
         orbits = groups.FiniteGroup.orbits
@@ -583,7 +588,8 @@ class TestConjugacyClasses:
 
         monkeypatch.setattr(groups.FiniteGroup, "orbits", spy)
         mul = G.table
-        for members in sorted({G.centralizer(x) for x in G.elements()}):
+        subgroups = {G.centralizer(x) for x in G.elements()} | {(G.id,)}
+        for members in sorted(subgroups):
             abelian = all(mul[g][h] == mul[h][g] for g in members for h in members)
             walked.clear()
             classes = G._classes(members)
@@ -762,6 +768,24 @@ class TestCenClassReps:
         G = groups.from_group_spec(f"file:{path}")
         assert G.id != 0
         self.check_against_reference(G)
+
+    @pytest.mark.parametrize(
+        "spec", ["cyclic:6", "dihedral:4", "quaternion:8", "symmetric:3"]
+    )
+    def test_central_x_takes_the_group_classes(self, spec, monkeypatch):
+        G = groups.from_group_spec(spec)
+
+        def no_split(self, members):
+            raise AssertionError("classes split")
+
+        monkeypatch.setattr(groups.FiniteGroup, "_classes", no_split)
+        whole = {g: cl.representative for cl in G.classes for g in cl.members}
+        for x in G.elements():
+            if len(G.classes[G.class_of[x]].members) == 1:
+                assert G.cen_class_reps(x) == whole
+            else:
+                with pytest.raises(AssertionError, match="classes split"):
+                    G.cen_class_reps(x)
 
     def test_built_once_per_x(self):
         G = groups.symmetric(4)

@@ -341,7 +341,7 @@ class TestOrbitReduction:
     def test_periodic_weights_match_one_level(self, braid, p, k, gspec):
         b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
         n = braids.components(b).count
-        for x in dw.x_tuples(G, n, "representatives"):
+        for x in holonomy.x_tuples(G, n, "representatives"):
             assert periodic_weights(b, G, x, p, k) == periodic_weights(
                 b, G, x, p, k, one_level_scan
             )
@@ -660,7 +660,7 @@ class TestOrbitWalker:
             b = braids.parse_braid(word)
             assert braids.components(b).count == n
             weights = Counter()
-            for x in dw.x_tuples(G, n, "representatives"):
+            for x in holonomy.x_tuples(G, n, "representatives"):
                 weights += periodic_weights(b, G, x, 5, 1)
             return (holonomy.count_fixed_tuples(b, G), weights), b.orbit
 

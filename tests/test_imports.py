@@ -57,12 +57,21 @@ def test_homs_loads_no_field_or_congruence():
 
 
 def test_verify_loads_no_field():
-    # verify computes in no field, so a change to gf cannot move its time
+    # verify computes in no field, so a change to gf cannot move its time,
+    # and it sizes its sweep in holonomy, so it needs no counting table
     loaded = loaded_by(
         "verify", "--braid", "2: 1", "--group", "quaternion:8", "-p", "3", "-k", "1"
     )
     assert {"dwlink.congruence", "dwlink.holonomy"} <= loaded
-    assert "dwlink.gf" not in loaded
+    assert not loaded & {"dwlink.gf", "dwlink.dw"}
+
+
+def test_sweep_loads_no_field_or_table(tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text('[{"braid": "2: 1", "p": 3, "k": 1, "group": "cyclic:2"}]')
+    loaded = loaded_by("sweep", "--catalog", str(catalog))
+    assert "dwlink.congruence" in loaded
+    assert not loaded & {"dwlink.gf", "dwlink.dw"}
 
 
 def test_package_names_resolve_live_to_their_home_objects():
