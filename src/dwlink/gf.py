@@ -25,12 +25,22 @@ once through a table per chunk of its slots (s % p in a prime field).  A
 the loop.  Shapes of more than _ROW_CAP = 225 terms are never compiled; the
 loop, the reference the kernel is tested against, serves them and the
 fields without tables.
+
+frobenius_trace_check adds no arithmetic of its own, but splits its trials
+into contiguous ranges, one per usable CPU, once the work that its cap
+counts reaches _SPLIT_FLOOR per range.  The first range runs in the calling
+process and each other in a child made by os.fork, which draws and drops
+the matrices before its range from the one seeded stream and sends its
+failures back by marshal; the report is byte for byte the one-process one.
 """
 
 from __future__ import annotations
 
+import marshal
 import operator
+import os
 import random
+import sys
 
 from .arith import is_prime, prime_factors
 from .errors import DegreeTooLarge, DimMismatch, FieldMismatch, NotPrime, ResourceError
@@ -48,6 +58,12 @@ FROBCHECK_CAP = 10**7
 # each of its six products at p = 3, and an entry product about 0.1 us at
 # dimension 6 (GF(3^5), in-process); 25 was their ratio at 0.185 us
 PRODUCT_FLOOR = 25
+# the entry products, as the cap counts them, that each process of a split
+# frobenius_trace_check gets at least: split and unsplit runs break even at
+# about 300,000 in all, 270-300 trials at n = 6 or 2,000 at n = 1 (GF(3^5),
+# fresh processes, 2 CPUs), where a fork, its page copies and its own kernel
+# compiles cost about as much as the half of the trials it takes over
+_SPLIT_FLOOR = 150_000
 
 
 # -- polynomial helpers over F_p (coefficient lists, constant term first) ----
@@ -466,32 +482,19 @@ def random_matrix(field: FqField, dim: int, rng: random.Random) -> FqMatrix:
     return FqMatrix._trusted(field, rows)
 
 
-def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) -> dict:
-    """Check tr(A^p) = tr(A)^p, and the iterated form tr(A^(p^k)) = tr(A)^(p^k)
-    for k up to MAX_K, on random matrices.  Failures would indicate an
-    arithmetic bug; they are reported, not raised.  Only the trace of the
-    last power is read: with B = A^(p^(MAX_K-1)) it is tr(B^(p-1) B), n^2
-    entry products in place of a last matrix product.  More entry products
-    than FROBCHECK_CAP raises ResourceError before any matrix is drawn,
-    each product charged at least PRODUCT_FLOOR of them."""
-    if dim < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+def _failures(field: FqField, dim: int, seed: int, lo: int, hi: int, parent=None):
+    """The failures of trials lo..hi-1, in trial order.  Trial t checks the
+    t-th matrix that random.Random(seed) draws, so the matrices of the
+    trials before lo are drawn and dropped first.  In a child forked from
+    the process parent, it leaves at its next trial once parent is gone."""
     p = field.p
-    per_power = p.bit_length() - 1 + p.bit_count() - 1  # _power's products
-    # the last power makes one matrix product fewer and n^2 entry products
-    cube, square = max(dim**3, PRODUCT_FLOOR), max(dim**2, PRODUCT_FLOOR)
-    if trials * ((MAX_K * per_power - 1) * cube + square) > FROBCHECK_CAP:
-        raise ResourceError(
-            f"{trials} trials at dimension {dim} and p = {p} exceed the cap of "
-            f"{FROBCHECK_CAP} entry products (trials * (({MAX_K} powers * "
-            f"{per_power} matrix products per power - 1) * max(dimension^3, "
-            f"{PRODUCT_FLOOR}) + max(dimension^2, {PRODUCT_FLOOR})))"
-        )
     rng = random.Random(seed)
+    for _ in range(lo):
+        random_matrix(field, dim, rng)
     failures = []
-    for trial in range(trials):
+    for trial in range(lo, hi):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         A = random_matrix(field, dim, rng)
         B = A
         tp = trace(A)
@@ -504,6 +507,100 @@ def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) 
                 lhs = _trace_of_product(mat_pow(B, p - 1), B)
             if lhs != tp:
                 failures.append({"trial": trial, "k": k, "lhs": lhs, "rhs": tp})
+    return failures
+
+
+def _forked(run, bounds):
+    """run(lo, hi, parent) over the ranges [lo, hi) between consecutive
+    bounds, concatenated in range order.  The first range runs in this
+    process, and each other in a child forked from it, which sends its
+    result back through a pipe by marshal only on success and leaves
+    through os._exit.  A range whose child fails, or sends what marshal
+    cannot read, runs again here, so that an error surfaces as in one
+    process.  If this process fails, it kills its children; it reaps all."""
+    parent, children = os.getpid(), []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the range runs here
+                pid = None
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pipe.write(marshal.dumps(run(lo, hi, parent)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb"), lo, hi))
+        out = run(bounds[0], bounds[1], None)
+        while children:
+            pid, pipe, lo, hi = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1] if pid else 1
+            del children[0]
+            try:
+                part = marshal.loads(data) if status == 0 else None
+            except (EOFError, ValueError, TypeError):
+                part = None
+            out += run(lo, hi, None) if part is None else part
+        return out
+    finally:
+        if children:  # only on failure, so signal (0.6 ms) loads only then
+            from signal import SIGKILL
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            if pid:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def frobenius_trace_check(field: FqField, dim: int, trials: int, seed: int = 0) -> dict:
+    """Check tr(A^p) = tr(A)^p, and the iterated form tr(A^(p^k)) = tr(A)^(p^k)
+    for k up to MAX_K, on random matrices.  Failures would indicate an
+    arithmetic bug; they are reported, not raised.  Only the trace of the
+    last power is read: with B = A^(p^(MAX_K-1)) it is tr(B^(p-1) B), n^2
+    entry products in place of a last matrix product.  More entry products
+    than FROBCHECK_CAP raises ResourceError before any matrix is drawn,
+    each product charged at least PRODUCT_FLOOR of them.
+
+    The trials run in contiguous ranges, one per usable CPU, each of at
+    least _SPLIT_FLOOR entry products: the first in this process, the others
+    in forked children (_forked).  Where os.fork or os.sched_getaffinity is
+    missing, or other threads run, all run here.  The report is the same."""
+    if dim < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    p = field.p
+    per_power = p.bit_length() - 1 + p.bit_count() - 1  # _power's products
+    # the last power makes one matrix product fewer and n^2 entry products
+    cube, square = max(dim**3, PRODUCT_FLOOR), max(dim**2, PRODUCT_FLOOR)
+    work = trials * ((MAX_K * per_power - 1) * cube + square)
+    if work > FROBCHECK_CAP:
+        raise ResourceError(
+            f"{trials} trials at dimension {dim} and p = {p} exceed the cap of "
+            f"{FROBCHECK_CAP} entry products (trials * (({MAX_K} powers * "
+            f"{per_power} matrix products per power - 1) * max(dimension^3, "
+            f"{PRODUCT_FLOOR}) + max(dimension^2, {PRODUCT_FLOOR})))"
+        )
+    # no fork among other threads: it copies only the calling one (and
+    # warns of it from Python 3.12 on)
+    workers, threading = 1, sys.modules.get("threading")
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and (
+        threading is None or threading.active_count() == 1
+    ):
+        cpus = len(os.sched_getaffinity(0))
+        workers = max(1, min(cpus, trials, work // _SPLIT_FLOOR))
+    bounds = [trials * i // workers for i in range(workers + 1)]
+    failures = _forked(
+        lambda lo, hi, parent: _failures(field, dim, seed, lo, hi, parent), bounds
+    )
     return {
         "p": p,
         "e": field.e,

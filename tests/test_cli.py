@@ -450,6 +450,21 @@ class TestFrobcheck:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
+    def test_split_run_prints_the_one_process_report(self, monkeypatch):
+        # split across the usable CPUs where there are two or more; -W error
+        # turns Python 3.12+'s warning on a fork among threads into a failure
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dwlink", "frobcheck",
+             "-p", "3", "-e", "5", "-n", "6", "--trials", "1500"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        report = gf.frobenius_trace_check(gf.field_make(3, 5), 6, 1500)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [json.dumps(report, separators=(",", ":"))]
+
     def test_dimension_over_work_cap_exit3(self, capsys, monkeypatch):
         # 10^15 entry products per trial: refused before any matrix is drawn
         def no_draw(field, dim, rng):

@@ -1,11 +1,16 @@
 import functools
 import io
 import itertools
+import marshal
 import math
+import os
 import random
+import signal
+import threading
 import time
 import tokenize
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -833,3 +838,248 @@ class TestRowKernel:
             gf.mat_mul(A, A)
             gf._trace_of_product(A, A)
         assert built == [] and F._kernels == {}
+
+
+def per_trial(F, dim):
+    """The entry products that frobenius_trace_check's cap counts per trial."""
+    p = F.p
+    products = gf.MAX_K * (p.bit_length() - 1 + p.bit_count() - 1) - 1
+    return products * max(dim**3, gf.PRODUCT_FLOOR) + max(dim**2, gf.PRODUCT_FLOOR)
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def in_one_process(F, dim, trials, seed):
+    with pytest.MonkeyPatch.context() as patched:
+        usable_cpus(patched, 1)
+        return gf.frobenius_trace_check(F, dim, trials, seed=seed)
+
+
+def forks_counted(monkeypatch):
+    """The pids of the children that os.fork makes from here on."""
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def fail_in(monkeypatch, chosen):
+    """Make trace wrong by one in the trials chosen.  The trial is the draw
+    count of the matrix's stream, so it is right in every process, whatever
+    it drew and dropped.  Frobenius is additive, so only the trace-only last
+    power fails: one failure at k = MAX_K per trial chosen."""
+    draw, trace, current = gf.random_matrix, gf.trace, [None]
+
+    def counted_draw(F, dim, rng):
+        current[0] = rng.drawn = getattr(rng, "drawn", -1) + 1
+        return draw(F, dim, rng)
+
+    def faulty_trace(A):
+        t = trace(A)
+        return A.field.add(t, A.field.one) if current[0] in chosen else t
+
+    monkeypatch.setattr(gf, "random_matrix", counted_draw)
+    monkeypatch.setattr(gf, "trace", faulty_trace)
+
+
+def in_children(action):
+    """gf.trace, with action() run first in every forked child."""
+    trace, parent = gf.trace, os.getpid()
+
+    def wrapped(A):
+        if os.getpid() != parent:
+            action()
+        return trace(A)
+
+    return wrapped
+
+
+def raise_():
+    raise RuntimeError("a child's error")
+
+
+class TestSplitTrials:
+    """frobenius_trace_check across forked children: the report is the
+    one-process report, failures included, and no child outlives a call."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("e", [1, 2, 5])
+    def test_report_is_the_one_process_report(self, monkeypatch, p, e):
+        F = field(p, e)
+        for dim in (1, 3, 6):
+            # a floor of 4 trials' work: 3 and 7 trials run in one process,
+            # 8 in two, 13 in three where three CPUs are usable
+            monkeypatch.setattr(gf, "_SPLIT_FLOOR", 4 * per_trial(F, dim))
+            for trials, seed, cpus in itertools.product((3, 7, 8, 13), (0, 5), (1, 2, 3)):
+                workers = max(1, min(cpus, trials // 4))
+                bounds = [trials * i // workers for i in range(workers + 1)]
+                chosen = {0, trials - 1} | {b + d for b in bounds[1:-1] for d in (-1, 0)}
+                with pytest.MonkeyPatch.context() as patched:
+                    fail_in(patched, chosen)
+                    expected = in_one_process(F, dim, trials, seed)
+                    usable_cpus(patched, cpus)
+                    pids = forks_counted(patched)
+                    report = gf.frobenius_trace_check(F, dim, trials, seed=seed)
+                assert [f["trial"] for f in expected["failures"]] == sorted(chosen)
+                assert report == expected
+                assert len(pids) == workers - 1
+
+    def test_benchmark_instance_splits(self, monkeypatch):
+        F = field(3, 5)
+        expected = in_one_process(F, 6, 1500, 4)
+        usable_cpus(monkeypatch, 2)
+        pids = forks_counted(monkeypatch)
+        assert gf.frobenius_trace_check(F, 6, 1500, seed=4) == expected
+        assert len(pids) == 1
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """(F, dim, trials, seed, the one-process report) for 3 trials over
+        two usable CPUs, split into [0, 1) and [1, 3) under a floor of one
+        trial's work."""
+        F, dim, trials, seed = field(3, 2), 3, 3, 7
+        with pytest.MonkeyPatch.context() as patched:
+            fail_in(patched, {1})
+            expected = in_one_process(F, dim, trials, seed)
+        fail_in(monkeypatch, {1})
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(gf, "_SPLIT_FLOOR", per_trial(F, dim))
+        return F, dim, trials, seed, expected
+
+    @pytest.mark.parametrize(
+        "action",
+        [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL), raise_],
+        ids=["exit-3", "killed", "raises"],
+    )
+    def test_failed_child_range_runs_here(self, monkeypatch, split, action):
+        F, dim, trials, seed, expected = split
+        monkeypatch.setattr(gf, "trace", in_children(action))
+        pids = forks_counted(monkeypatch)
+        assert gf.frobenius_trace_check(F, dim, trials, seed=seed) == expected
+        assert len(pids) == 1
+
+    def test_unreadable_result_runs_here(self, monkeypatch, split):
+        F, dim, trials, seed, expected = split
+        parent = os.getpid()
+
+        def dumps(value):  # a truncated marshal from the child
+            data = marshal.dumps(value)
+            return data if os.getpid() == parent else data[:-1]
+
+        monkeypatch.setattr(gf, "marshal", types.SimpleNamespace(dumps=dumps, loads=marshal.loads))
+        assert gf.frobenius_trace_check(F, dim, trials, seed=seed) == expected
+
+    def test_error_in_every_process_surfaces(self, monkeypatch, split):
+        # a genuine error in the child's range: the child fails, its range
+        # runs again here and raises as in one process
+        F, dim, trials, seed, _ = split
+        trace = gf.trace
+
+        def faulty(A):
+            if A.entries == first_of_trial_2:
+                raise ZeroDivisionError("trial 2")
+            return trace(A)
+
+        rng = random.Random(seed)
+        first_of_trial_2 = [gf.random_matrix(F, dim, rng) for _ in range(3)][2].entries
+        monkeypatch.setattr(gf, "trace", faulty)
+        pids = forks_counted(monkeypatch)
+        with pytest.raises(ZeroDivisionError, match="trial 2"):
+            gf.frobenius_trace_check(F, dim, trials, seed=seed)
+        assert len(pids) == 1
+
+    def test_error_here_kills_the_children(self, monkeypatch, split):
+        F, dim, trials, seed, _ = split
+        parent, trace = os.getpid(), gf.trace
+
+        def faulty(A):
+            if os.getpid() == parent:
+                raise ZeroDivisionError("parent")
+            time.sleep(10)  # killed long before
+            return trace(A)
+
+        monkeypatch.setattr(gf, "trace", faulty)
+        start = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="parent"):
+            gf.frobenius_trace_check(F, dim, trials, seed=seed)
+        assert time.perf_counter() - start < 5
+
+    def test_child_leaves_once_its_parent_is_gone(self, monkeypatch):
+        class Left(Exception):
+            pass
+
+        def exit_(code):
+            raise Left(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        F = field(3, 2)
+        assert gf._failures(F, 2, 0, 3, 5, parent=os.getppid()) == []
+        with pytest.raises(Left):
+            gf._failures(F, 2, 0, 3, 5, parent=os.getpid())
+
+    def test_fork_failure_runs_here(self, monkeypatch, split):
+        F, dim, trials, seed, expected = split
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert gf.frobenius_trace_check(F, dim, trials, seed=seed) == expected
+
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_below_the_floor_no_fork(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        F = field(3, 5)
+        # 55,800 and 3,200 entry products: --trials 50 at n = 6, and the
+        # benchmark's quick instance
+        assert 50 * per_trial(F, 6) < 2 * gf._SPLIT_FLOOR
+        assert gf.frobenius_trace_check(F, 6, 50)["ok"]
+        assert gf.frobenius_trace_check(field(3, 2), 3, 20)["ok"]
+        # the least work that splits, at n = 6 and at n = 1
+        for dim in (6, 1):
+            trials = -(-2 * gf._SPLIT_FLOOR // per_trial(F, dim))
+            assert gf.frobenius_trace_check(F, dim, trials - 1)["ok"]
+
+    def test_one_cpu_no_fork(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        usable_cpus(monkeypatch, 1)
+        assert gf.frobenius_trace_check(field(3, 5), 6, 1500)["ok"]
+
+    def test_no_affinity_no_fork(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert gf.frobenius_trace_check(field(3, 5), 6, 1500)["ok"]
+
+    def test_other_thread_no_fork(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert gf.frobenius_trace_check(field(3, 5), 6, 1500)["ok"]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+

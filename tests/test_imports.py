@@ -50,6 +50,13 @@ def test_frobcheck_loads_no_group():
     assert "dwlink.gf" in loaded and "dwlink.groups" not in loaded
 
 
+def test_split_frobcheck_loads_no_pool():
+    # the benchmark instance, split where two CPUs are usable, forks with os
+    # alone: no pool, pickling, thread or subprocess module
+    loaded = loaded_by("frobcheck", "-p", "3", "-e", "5", "-n", "6", "--trials", "1500")
+    assert not loaded & {"multiprocessing", "concurrent", "pickle", "threading", "subprocess"}
+
+
 def test_homs_loads_no_field_or_congruence():
     loaded = loaded_by("homs", "--braid", "2: 1 1", "--group", "symmetric:3", "--count")
     assert "dwlink.holonomy" in loaded
