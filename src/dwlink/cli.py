@@ -10,6 +10,7 @@ exceeded, or the input asked for more than Python can index or allocate
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -31,6 +32,23 @@ def _emit(obj, pretty: bool):
         print(json.dumps(obj, separators=(",", ":")))
 
 
+def _group(spec: str):
+    """The group of spec, built with the collector paused, and then frozen:
+    its table is some n + 1 tuples that live to the end, and a collection
+    would walk them all for nothing.  main unfreezes it."""
+    from .groups import from_group_spec
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        G = from_group_spec(spec)
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+    return G
+
+
 def _parse_x(G, x_args, n):
     if x_args is None:
         return None
@@ -42,9 +60,7 @@ def _parse_x(G, x_args, n):
 
 
 def cmd_group_info(args):
-    from .groups import from_group_spec
-
-    G = from_group_spec(args.group)
+    G = _group(args.group)
     out = {
         "group": G.name,
         "order": G.order,
@@ -86,10 +102,9 @@ def cmd_braid_info(args):
 
 def cmd_homs(args):
     from . import holonomy
-    from .groups import from_group_spec
 
     beta = parse_braid(args.braid)
-    G = from_group_spec(args.group)
+    G = _group(args.group)
     n = components(beta).count
     x = _parse_x(G, args.x, n)
     if args.count:
@@ -101,9 +116,9 @@ def cmd_homs(args):
         )
         out = [
             {
-                "tuple": [G.names[e] for e in r.tuple],
-                "meridian": [G.names[e] for e in r.meridian],
-                "longitude": [G.names[e] for e in r.longitude],
+                "tuple": [G.element_name(e) for e in r.tuple],
+                "meridian": [G.element_name(e) for e in r.meridian],
+                "longitude": [G.element_name(e) for e in r.longitude],
             }
             for r in recs
         ]
@@ -113,18 +128,17 @@ def cmd_homs(args):
 
 def cmd_dw(args):
     from . import dw
-    from .groups import from_group_spec
 
     beta = parse_braid(args.braid)
-    G = from_group_spec(args.group)
+    G = _group(args.group)
     scope = "all" if args.all_x else "representatives"
     table = dw.dw_table(beta, G, x_scope=scope)
     obj = table.to_json_obj()
     if args.exact:
         obj["exact_entries"] = [
             {
-                "x": [G.names[e] for e in x],
-                "h": [G.names[e] for e in h],
+                "x": [G.element_name(e) for e in x],
+                "h": [G.element_name(e) for e in h],
                 "count": c,
             }
             for (x, h), c in sorted(table.exact.items())
@@ -135,10 +149,9 @@ def cmd_dw(args):
 
 def cmd_verify(args):
     from . import congruence
-    from .groups import from_group_spec
 
     beta = parse_braid(args.braid)
-    G = from_group_spec(args.group)
+    G = _group(args.group)
     instance = congruence.check_preconditions(beta, args.p, args.k, G)
     scope = "all" if args.all_x else "representatives"
     report = congruence.verify(instance, x_scope=scope)
@@ -277,7 +290,19 @@ def main(argv=None) -> int:
     except (InputError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        # library callers and tests go on with a normal collector
+        gc.unfreeze()
+
+
+def run() -> int:
+    """main() for python -m dwlink and the console script.  The heap is
+    frozen again at the end, so that the interpreter's final collection
+    does not walk the group's table."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

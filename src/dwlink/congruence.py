@@ -67,8 +67,8 @@ class CongruenceReport:
             "cases_checked": self.cases_checked,
             "violations": [
                 {
-                    "x": [G.names[e] for e in v.x],
-                    "h_class": [G.names[e] for e in v.hclass],
+                    "x": [G.element_name(e) for e in v.x],
+                    "h_class": [G.element_name(e) for e in v.hclass],
                     "lhs_count": v.lhs_count,
                     "rhs_count": v.rhs_count,
                 }

@@ -84,11 +84,11 @@ class DWTable:
         self.by_class = {}  # (x, class rep tuple) -> count
 
     def to_json_obj(self):
-        names = self.group.names
+        name = self.group.element_name
         entries = [
             {
-                "x": [names[e] for e in x],
-                "h_class_reps": [names[e] for e in reps],
+                "x": [name(e) for e in x],
+                "h_class_reps": [name(e) for e in reps],
                 "count": c,
             }
             for (x, reps), c in sorted(self.by_class.items())

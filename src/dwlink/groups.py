@@ -4,22 +4,28 @@ Elements are dense indices 0..order-1.  A table gets in one of two ways.
 A table passed in whole, as a file: spec's is (from_cayley_table), keeps its
 order and is checked whole: n rows of n exact ints in 0..n-1 that form a
 Latin square and pass Light's associativity test, which is exact, so it is a
-group; its identity and inverses are read off the table.  Every built-in
-group (cyclic, dihedral, quaternion, symmetric and perm:) is gathered from
-its generator rows alone (FiniteGroup._gathered): index 0 is the identity,
-every further row is found breadth-first as a found row gathered at a
-generator's row, and only the generator rows are checked.
-Conjugation orbits are split by one routine, FiniteGroup.orbits, and
-conjugacy classes by one, FiniteGroup._classes, from the table on a
-subgroup's members: G's at construction, every other centralizer's once, on
-first use, as a table from each member to its class representative
+group; its identity is read off row 0.  Every built-in group (cyclic,
+dihedral, quaternion, symmetric and perm:) is gathered from its generator
+rows alone (FiniteGroup._gathered): index 0 is the identity, every further
+row is found breadth-first as a found row gathered at a generator's row,
+and only the generator rows are checked.  No other pass reads all n^2
+entries: the inverses follow the breadth-first tree of a generating set
+(the gathered generators, or those Light's test checked), and conjugacy
+classes are split by one routine, FiniteGroup._classes, which closes each
+class under conjugation by a subgroup's generators: G's at construction,
+every other centralizer's, through a greedy generating set, once, on first
+use, as a table from each member to its class representative
 (FiniteGroup.cen_class_reps), shared by every x with that Cen(x), which is
 scanned from the table when asked for; a central x gets G's.  The counting
 and congruence loops look classes up there, and its keys are Cen(x).
+Conjugation orbits under any set of elements, which the scan's stabilizer
+chain needs, are split by FiniteGroup.orbits.  A permutation group's names
+are formatted when read (FiniteGroup.element_name).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import namedtuple
@@ -56,11 +62,12 @@ def _check_rows(rows, n: int):
             raise BadShape(f"table entry {v} out of range for order {n}")
 
 
-def _checked_names(names, n: int) -> tuple[str, ...]:
-    """The n element names as distinct strings, "0".."n-1" for None; names
-    must be an array of JSON strings and numbers."""
+def _name_of(names, n: int):
+    """The function from an index to its name: str for None, else a lookup
+    in the n names, which must be an array of JSON strings and numbers,
+    distinct as strings."""
     if names is None:
-        return tuple(str(i) for i in range(n))
+        return str
     # exact types: JSON strings and numbers, not booleans or objects
     is_array = isinstance(names, (list, tuple))
     if not is_array or not set(map(type, names)) <= {str, int, float}:
@@ -70,13 +77,54 @@ def _checked_names(names, n: int) -> tuple[str, ...]:
         raise BadShape("names length does not match order")
     if len(set(names)) != n:
         raise BadShape("element names are not distinct")
-    return names
+    return names.__getitem__
+
+
+def _generators(mul, members, e) -> list[int]:
+    """A generating set of the subgroup with the ascending members: each
+    generator is the smallest member outside the subgroup K that those
+    before it generate, so there are at most log2 |members|.  K then grows
+    by the cosets t K that the generators reach from K (Dimino's method)."""
+    gens, reached = [], {e}
+    for g in members:
+        if g in reached:
+            continue
+        gens.append(g)
+        K, reps = list(reached), [e]
+        for r in reps:
+            for s in gens:
+                t = mul[s][r]
+                if t not in reached:
+                    row = mul[t]
+                    reached.update([row[k] for k in K])
+                    reps.append(t)
+    return gens
+
+
+def _inverses(mul, e, gens) -> tuple[int, ...]:
+    """The inverses in the group generated by gens, along the breadth-first
+    tree of right multiplication by gens from e: if q = pi g, then
+    q^-1 = g^-1 pi^-1.  Only the generators' inverses are looked up."""
+    inv = [None] * len(mul)
+    inv[e] = e
+    steps = [(g, mul[mul[g].index(e)]) for g in gens]
+    found = [e]
+    # found is walked while it grows: a queue, so breadth-first
+    for pi in found:
+        row, pi_inv = mul[pi], inv[pi]
+        for g, g_inv_row in steps:
+            q = row[g]
+            if inv[q] is None:
+                inv[q] = g_inv_row[pi_inv]
+                found.append(q)
+    return tuple(inv)
 
 
 def _validate(mul):
     """Refuse, with NotAGroup, a table of n rows of n exact ints in 0..n-1
     that is not an associative Latin square, hence not a group (Bruck, A
-    Survey of Binary Systems, ch. I)."""
+    Survey of Binary Systems, ch. I).  Return the generators that Light's
+    test checked."""
     n = len(mul)
     full = set(range(n))
     for i, row in enumerate(mul):
@@ -86,7 +134,7 @@ def _validate(mul):
         if set(column) != full:
             raise NotAGroup(f"column {j} is not a permutation of the elements")
     if n == 1:  # [[0]]; itemgetter(i) would return a bare item
-        return
+        return []
     # Light's test: the g with (x g) y = x (g y) for all x, y are closed
     # under multiplication, so checking a generating set is exact.  Each
     # generator is the smallest element not yet reached, where the
@@ -111,6 +159,7 @@ def _validate(mul):
             new = {row[h] for h in gens} - reached
             reached |= new
             todo += new
+    return gens
 
 
 class ConjClass(namedtuple("ConjClass", "representative members")):
@@ -125,8 +174,8 @@ class FiniteGroup:
 
     A table passed in whole is always checked whole: its rows, its names,
     then Light's test.  A built-in group is gathered from its generator rows
-    (_gathered).  In a group 0 e = 0 only for the identity e, and g h = e
-    only for h = g^-1, so both are looked up."""
+    (_gathered).  Either way the inverses and G's classes are then found
+    from a generating set of G, never from a scan of the table."""
 
     def __init__(self, mul, names=None, name: str = "group"):
         try:
@@ -136,9 +185,10 @@ class FiniteGroup:
         if not mul:
             raise BadShape("empty multiplication table")
         _check_rows(mul, len(mul))
-        names = _checked_names(names, len(mul))
-        _validate(mul)
-        self._set_up(mul, names, name)
+        name_of = _name_of(names, len(mul))
+        gens = _validate(mul)
+        # in a group 0 e = 0 only for the identity e
+        self._set_up(mul, mul[0].index(0), gens, name_of, name)
 
     @classmethod
     def _gathered(cls, gen_rows, n: int, names, name: str) -> FiniteGroup:
@@ -152,9 +202,12 @@ class FiniteGroup:
         is a group, so Light's test is not run.  Each generator row gets the
         row check that __init__ runs on every row; a gathered row then holds
         only entries of a found row, so it is a row of n exact ints in
-        0..n-1 too, with no scan."""
+        0..n-1 too, with no scan.  names are checked as __init__ checks
+        them, unless they come as a function from an index to its name,
+        which formats a name when it is first read."""
         _check_rows(gen_rows, n)
-        names = _checked_names(names, n)
+        if not callable(names):
+            names = _name_of(names, n)
         steps = [(row[0], itemgetter(*row)) for row in gen_rows]
         table = [None] * n
         table[0] = tuple(range(n))
@@ -170,29 +223,40 @@ class FiniteGroup:
         if len(found) < n:
             raise BadShape(f"generator rows reach {len(found)} of {n} rows")
         G = object.__new__(cls)
-        G._set_up(tuple(table), names, name)
+        G._set_up(tuple(table), 0, [g for g, _ in steps], names, name)
         return G
 
-    def _set_up(self, mul, names, name):
+    def _set_up(self, mul, e, gens, name_of, name):
         """The set-up that follows the checks, on a group's table of n rows
-        of n exact ints in 0..n-1 and its n checked names: identity,
-        inverses and classes."""
+        of n exact ints in 0..n-1, its identity e, elements gens that
+        generate it and the function from an index to its name: inverses
+        and classes, both in O(n |gens|) from the generators."""
         n = len(mul)
         self.order = n
         self.table = mul
         self.name = name
-        self.names = names
-        self.id = e = mul[0].index(0)
-        self.inv = tuple(row.index(e) for row in mul)
-        self.classes = self._classes(range(n))
+        self.id = e
+        self.inv = _inverses(mul, e, gens)
+        self.classes = self._classes(range(n), gens)
         self.class_of = [0] * n
         for ci, cl in enumerate(self.classes):
             for g in cl.members:
                 self.class_of[g] = ci
+        # formats a name on its first read
+        self.element_name, self._names = functools.cache(name_of), None
         # x and Cen(x) -> cen_class_reps(x), filled on first use.  Declared here
         # rather than added to the instance later, which slows every attribute
         # lookup on the group (every enumeration and longitude reads several).
         self._cen_reps = {}
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every element's name, in index order, built on first read."""
+        if self._names is None:
+            self._names = tuple(map(self.element_name.__wrapped__, range(self.order)))
+            # read from here on, which frees the cache and what it holds
+            self.element_name = self._names.__getitem__
+        return self._names
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -242,20 +306,30 @@ class FiniteGroup:
                 orbits[r] = orbit
         return orbits
 
-    def _classes(self, members) -> tuple[ConjClass, ...]:
-        """The conjugacy classes of the subgroup with the ascending members.
-        An abelian one, its table on the members equal to its transpose,
-        needs no orbit walk.  That table is G's for G, else gathered (k+1) x
-        (k+1) for k members, members[0] twice so that k = 1 gives tuples; its
-        lazy transpose stops a non-abelian one at its first non-central member."""
-        sub = mul = self.table
-        if len(members) < len(mul):
-            at_members = itemgetter(*members, members[0])
-            sub = tuple(map(at_members, at_members(mul)))
-        if all(map(eq, sub, zip(*sub))):
-            return tuple(ConjClass(g, (g,)) for g in members)
-        orbits = self.orbits(members, members).items()
-        return tuple(ConjClass(r, tuple(sorted(orbit))) for r, orbit in orbits)
+    def _classes(self, members, gens=None) -> tuple[ConjClass, ...]:
+        """The conjugacy classes of the subgroup with the ascending members,
+        generated by gens, or for None by a greedy generating set
+        (_generators).  A class is its smallest member closed under
+        conjugation by gens, which is conjugation by the whole subgroup, as
+        it is finite: |gens| products per member, no other table entry read."""
+        mul = self.table
+        if gens is None:
+            gens = _generators(mul, members, self.id)
+        steps = [(mul[s], self.inv[s]) for s in gens]
+        classes, seen = [], bytearray(len(mul))
+        for r in members:
+            if not seen[r]:
+                seen[r] = 1
+                cl = [r]
+                # cl is walked while it grows
+                for h in cl:
+                    for s_row, s_inv in steps:
+                        c = mul[s_row[h]][s_inv]
+                        if not seen[c]:
+                            seen[c] = 1
+                            cl.append(c)
+                classes.append(ConjClass(r, tuple(sorted(cl))))
+        return tuple(classes)
 
     def centralizer(self, x: int) -> tuple[int, ...]:
         """The members of Cen(x), ascending, scanned from the table on each
@@ -345,8 +419,9 @@ def from_permutation_generators(
         raise GroupTooLarge(f"permutation degree {degree} exceeds cap of {ORDER_CAP}")
     gens = [_cycles_to_perm(degree, g) for g in generators]
     # each element carries its first image again at its end, so that
-    # gathering by its points gives a tuple even at degree 1, as in
-    # FiniteGroup._classes: step(p) is p∘g = (p[g[0]], p[g[1]], ...)
+    # gathering by its points gives a tuple even at degree 1, where
+    # itemgetter of one point returns a bare item: step(p) is
+    # p∘g = (p[g[0]], p[g[1]], ...)
     ident = (*range(degree), 0)
     steps = [itemgetter(*g, g[0]) for g in gens]
     elems = [ident]
@@ -365,8 +440,11 @@ def from_permutation_generators(
     # row g of a generator, b -> g∘b = (g[b[0]], g[b[1]], ...); the row of
     # p∘g is then row p gathered at row g, since (p∘g)∘b = p∘(g∘b)
     gen_rows = [tuple(index[itemgetter(*b)(g)] for b in elems) for g in gens]
-    names = [_perm_name(p[:-1]) for p in elems]
-    return FiniteGroup._gathered(gen_rows, len(elems), names, name)
+
+    def name_of(g):
+        return _perm_name(elems[g][:-1])
+
+    return FiniteGroup._gathered(gen_rows, len(elems), name_of, name)
 
 
 def cyclic(n: int) -> FiniteGroup:

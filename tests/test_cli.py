@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -489,6 +490,69 @@ class TestFrobcheck:
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_dimension_below_one_exit2(self, capsys, n):
         assert main(["frobcheck", "-p", "2", "-n", n, "--trials", "3"]) == 2
+
+
+class TestCollector:
+    """The CLI builds its group with the collector paused and freezes it;
+    main leaves the collector as it found it, on every exit and when a
+    build raises.  python -m dwlink, which freezes the heap again at exit,
+    prints what main prints."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["group-info", "--group", "symmetric:3"], 0),
+            (["verify", "--braid", "3: 1 1 -2", "--group", "dihedral:5",
+              "-p", "3", "-k", "1"], 1),
+            (["group-info", "--group", "nope:3"], 2),
+            (["verify", "--braid", "2: 1", "--group", "cyclic:3", "-p", "3",
+              "-k", "1"], 2),
+            (["homs", "--braid", "2: 1", "--group", "cyclic:11", "--count"], 3),
+        ],
+    )
+    def test_left_as_found(self, capsys, monkeypatch, collector, argv, code):
+        monkeypatch.setattr(groups, "ORDER_CAP", 10)
+        assert main(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (collector, 0)
+
+    def test_left_as_found_when_a_build_raises(self, monkeypatch, collector):
+        def broken(spec):
+            gc.freeze()
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(groups, "from_group_spec", broken)
+        with pytest.raises(RuntimeError, match="build failed"):
+            main(["group-info", "--group", "cyclic:3"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == (collector, 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homs", "--braid", "3: 1 -2 1 -2", "--group", "symmetric:3",
+             "--count", "--threads", "1"],
+            ["verify", "--braid", "3: 1 1 -2", "--group", "symmetric:5", "-p",
+             "7", "-k", "1", "--threads", "1"],
+            ["verify", "--braid", "3: 1 2", "--group", "symmetric:3", "-p",
+             "5", "-k", "2", "--threads", "1"],
+            ["frobcheck", "-p", "3", "-e", "2", "-n", "3", "--trials", "20"],
+        ],
+        ids=["homs-scan", "verify-classes", "verify-periodic", "frobcheck"],
+    )
+    def test_module_prints_what_main_prints(self, capsys, argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dwlink", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)
 
 
 class TestDeterminism:

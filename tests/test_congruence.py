@@ -495,9 +495,9 @@ class TestClassTablesPerCentralizer:
     ):
         split, classes = [], groups.FiniteGroup._classes
 
-        def spy(self, members):
+        def spy(self, members, gens=None):
             split.append(tuple(members))
-            return classes(self, members)
+            return classes(self, members, gens)
 
         monkeypatch.setattr(groups.FiniteGroup, "_classes", spy)
         G = groups.from_group_spec(spec)

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dwlink import groups
 from dwlink.braids import cycles_of
@@ -138,8 +138,9 @@ def searched_inverses(mul, e):
 
 
 class TestIdentityAndInverses:
-    """The identity and inverses are looked up in the checked table; they
-    equal a two-sided search over it."""
+    """The identity is looked up in the checked table, and the inverses
+    follow the generators that Light's test checked; they equal a two-sided
+    search over it."""
 
     @settings(max_examples=100)
     @given(G=st.sampled_from(sample_groups()), data=st.data())
@@ -542,29 +543,27 @@ class TestConjugacyClasses:
         assert len(G.classes) == 4
 
     def test_commutativity_shortcut_matches_orbit_walk(self, tmp_path, monkeypatch):
+        # every group, abelian or not, is split by closing each class under
+        # its generators, with no orbit walk
         path = tmp_path / "klein.json"
         path.write_text(json.dumps({"mul": [[a ^ b for b in range(4)] for a in range(4)]}))
         specs = [f"cyclic:{n}" for n in (1, 2, 7, 12)] + [f"file:{path}"]
-        nonabelian = ["symmetric:3", "quaternion:8", "dihedral:5"]
+        specs += ["symmetric:3", "quaternion:8", "dihedral:5"]
 
         def orbit_walk(G):
             orbits = G.orbits(G.elements(), G.elements()).items()
             return tuple(groups.ConjClass(r, tuple(sorted(o))) for r, o in orbits)
 
-        built = {spec: groups.from_group_spec(spec) for spec in specs + nonabelian}
+        built = {spec: groups.from_group_spec(spec) for spec in specs}
         for G in built.values():
             assert G.classes == orbit_walk(G)
 
-        # an abelian group's classes come without the orbit walk
         def no_walk(self, members, H):
             raise AssertionError("conjugation orbits walked")
 
         monkeypatch.setattr(groups.FiniteGroup, "orbits", no_walk)
         for spec in specs:
             assert groups.from_group_spec(spec).classes == built[spec].classes
-        for spec in nonabelian:
-            with pytest.raises(AssertionError, match="orbits walked"):
-                groups.from_group_spec(spec)
 
     @pytest.mark.parametrize(
         "spec",
@@ -574,26 +573,22 @@ class TestConjugacyClasses:
         ],
     )
     def test_commutativity_shortcut_on_centralizers(self, spec, monkeypatch):
-        # a proper subgroup's table is gathered on its members alone: the
-        # shortcut is taken exactly on the abelian ones, whose classes are
-        # singletons.  The rotations of dihedral:15 and dihedral:16 are
-        # abelian and hold half of G; {e} gathers one member, twice
+        # a proper subgroup is split through a greedy generating set, of at
+        # most log2 of its order members, with no orbit walk, abelian or not.
+        # The rotations of dihedral:15 and dihedral:16 are abelian and hold
+        # half of G; {e} has no generator
         G = groups.from_group_spec(spec)
-        walked = []
-        orbits = groups.FiniteGroup.orbits
 
-        def spy(self, members, H):
-            walked.append(tuple(members))
-            return orbits(self, members, H)
+        def no_walk(self, members, H):
+            raise AssertionError("conjugation orbits walked")
 
-        monkeypatch.setattr(groups.FiniteGroup, "orbits", spy)
-        mul = G.table
+        monkeypatch.setattr(groups.FiniteGroup, "orbits", no_walk)
         subgroups = {G.centralizer(x) for x in G.elements()} | {(G.id,)}
         for members in sorted(subgroups):
-            abelian = all(mul[g][h] == mul[h][g] for g in members for h in members)
-            walked.clear()
+            gens = groups._generators(G.table, members, G.id)
+            assert 2 ** len(gens) <= len(members)
+            assert generated(G, gens) == list(members)
             classes = G._classes(members)
-            assert walked == ([] if abelian else [members])
             reps = {h: min(G.class_in_subgroup(members, h).members) for h in members}
             assert {h: cl.representative for cl in classes for h in cl.members} == reps
 
@@ -798,6 +793,82 @@ class TestCenClassReps:
         for x, y in itertools.product(G.elements(), repeat=2):
             same = G.cen_class_reps(x) is G.cen_class_reps(y)
             assert same == (cens[x] == cens[y])
+
+
+def orbit_walk_classes(mul, inv):
+    """G's classes, each the set of all conjugates h r h^-1 of its smallest
+    member r: the reference for the split by generators."""
+    classes, seen = [], set()
+    for r in range(len(mul)):
+        if r not in seen:
+            members = sorted({mul[mul[h][r]][inv[h]] for h in range(len(mul))})
+            seen.update(members)
+            classes.append(groups.ConjClass(r, tuple(members)))
+    return tuple(classes)
+
+
+# Z2 x Z2, and S3 with the identity moved to element 4
+KLEIN = [[a ^ b for b in range(4)] for a in range(4)]
+S3_MOVED = _relabelled(groups.symmetric(3), 4)
+
+
+class TestSetUpAgainstReferences:
+    """The inverses, G's classes and the class table of every centralizer,
+    found from generating sets, equal slow references that read the whole
+    table; the names, formatted when read, equal the eager ones."""
+
+    @staticmethod
+    def check_set_up(G):
+        mul = G.table
+        e = searched_identity(mul)
+        inv = searched_inverses(mul, e)
+        assert (G.id, G.inv) == (e, inv)
+        assert G.classes == orbit_walk_classes(mul, inv)
+        for x in G.elements():
+            cen = G.centralizer(x)
+            reps = {h: G.class_in_subgroup(cen, h).representative for h in cen}
+            assert G.cen_class_reps(x) == reps
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda d: st.lists(st.permutations(range(d)), max_size=3).map(
+                lambda ps: (d, ps)
+            )
+        )
+    )
+    def test_random_perm_groups(self, case):
+        degree, perms = case
+        gens = [perm_cycles(p) for p in perms]
+        elems, _ = reference_closure(degree, gens)
+        assume(len(elems) <= 360)  # the references read |G|^2 entries and more
+        G = groups.from_permutation_generators(degree, gens)
+        self.check_set_up(G)
+        assert G.names == tuple(groups._perm_name(p) for p in elems)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "perm:3:", "cyclic:1", "cyclic:2", "cyclic:12", "dihedral:1",
+            "dihedral:2", "dihedral:15", "quaternion:8", "symmetric:4",
+        ],
+    )
+    def test_builtin_families(self, spec):
+        self.check_set_up(groups.from_group_spec(spec))
+
+    @pytest.mark.parametrize("mul", [KLEIN, S3_MOVED], ids=["klein", "s3-moved"])
+    def test_file_tables(self, tmp_path, mul):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mul": mul}))
+        self.check_set_up(groups.from_group_spec(f"file:{path}"))
+
+    def test_names_formatted_when_read(self):
+        G = groups.symmetric(4)
+        elems, _ = reference_closure(4, symmetric_generators(4))
+        assert G.element_name(5) == groups._perm_name(elems[5])
+        assert G.element_name.cache_info().currsize == 1
+        assert G.names == tuple(map(groups._perm_name, elems))
+        assert G.element_name(5) is G.names[5]
 
 
 class TestPower:
