@@ -9,15 +9,15 @@ by shared bottom basepoints.  The check sweeps boundary data (x, [h]) and
 compares the class-level count for [h] on the quotient side with the count
 for [h^(p^k)] on the periodic side, modulo p.
 
-Both sides come from one scan per x (holonomy.periodic_scan): the fixed
-tuples of beta^(p^k) are those on orbits of beta of length p^j, j <= k, and
-the fixed tuples of beta those on orbits of length 1, so the braid power is
-never built.
+Both sides come from one scan of the whole sweep (holonomy.periodic_scan):
+the fixed tuples of beta^(p^k) are those on orbits of beta of length p^j,
+j <= k, and the fixed tuples of beta those on orbits of length 1, so the
+braid power is never built.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections import Counter, namedtuple
 
 from .arith import is_prime
@@ -33,7 +33,7 @@ from .errors import (
 from .groups import FiniteGroup, from_group_spec
 # enumerate_homs is not called here; it stays bound because the benchmark's
 # tests check that its tracer wraps this binding (perfbench/test_perfbench.py)
-from .holonomy import checked_x_tuples, enumerate_homs, periodic_scan  # noqa: F401
+from .holonomy import checked_x_pool, enumerate_homs, periodic_scan  # noqa: F401
 
 
 # beta a BraidWord, group a FiniteGroup
@@ -98,20 +98,22 @@ def check_preconditions(
     return CongruenceInstance(beta, p, k, G)
 
 
-def class_counts(instance: CongruenceInstance, x) -> tuple[Counter, Counter]:
-    """The class-level counts at the meridian tuple x of the closure of
-    beta^(p^k) and of the closure of beta, keyed like dw.class_buckets.
-    Every scanned representative stands for weight fixed tuples, each
-    conjugate to it by an element of H, so they share its Cen(x_t)-classes
-    and it adds its weight."""
+def class_counts(instance: CongruenceInstance, pools):
+    """Yields (x, lhs, rhs) for every meridian tuple x in the product of
+    pools with a fixed tuple: the class-level counts of the closures of
+    beta^(p^k) and of beta, keyed like dw.class_buckets, from one
+    periodic_scan.  A representative's weight counts tuples conjugate to it
+    by elements of every Cen(x_t), so they share its Cen(x_t)-classes."""
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
-    reps = [G.cen_class_reps(xt) for xt in x]
-    lhs, rhs = Counter(), Counter()
-    for weight, big, small in periodic_scan(beta, G, x, p, k):
-        lhs[tuple(rep[h] for rep, h in zip(reps, big))] += weight
-        if small is not None:
-            rhs[tuple(rep[h] for rep, h in zip(reps, small))] += weight
-    return lhs, rhs
+    scan = periodic_scan(beta, G, pools, p, k)
+    for x, hits in itertools.groupby(scan, key=lambda hit: hit[0]):
+        reps = [G.cen_class_reps(xt) for xt in x]
+        lhs, rhs = Counter(), Counter()
+        for _, weight, big, small in hits:
+            lhs[tuple(rep[h] for rep, h in zip(reps, big))] += weight
+            if small is not None:
+                rhs[tuple(rep[h] for rep, h in zip(reps, small))] += weight
+        yield x, lhs, rhs
 
 
 def verify(
@@ -120,22 +122,25 @@ def verify(
 ) -> CongruenceReport:
     """Compare, for every x in scope and every tuple [h] of Cen(x_t)-classes,
     the count of beta's closure at [h] with the count of the closure of
-    beta^(p^k) at [h^(p^k)], mod p.
+    beta^(p^k) at [h^(p^k)], mod p, from one class_counts call.
 
     [h] -> [h^(p^k)] permutes the classes of each Cen(x_t), since p does not
     divide |G|, and [g] -> [g^r] with r p^k = 1 mod |G| inverts it.  So the
     periodic side's count at [g] is re-keyed once, to [g^r], and only the
     [h] counted on some side are compared: every other case reads 0 = 0.
-    cases_checked still counts every [h], as the product over t of the
-    number of classes of Cen(x_t), summed over x."""
+    cases_checked still counts every [h]: the number of classes of Cen(r)
+    summed over the pool, to the power of the number of components."""
     beta, p, k, G = instance.beta, instance.p, instance.k, instance.group
     r = pow(p, -k, G.order)
     comp = components(beta)
     report = CongruenceReport(instance, comp.count)
-    for x in checked_x_tuples(G, comp, x_scope):
-        lhs, rhs = class_counts(instance, x)
+    pool = checked_x_pool(G, comp, x_scope)
+    tables = [G.cen_class_reps(xt) for xt in pool]
+    # one count per distinct table; all are held, so their ids differ
+    classes = {i: len(set(t.values())) for i, t in {id(t): t for t in tables}.items()}
+    report.cases_checked = sum(classes[id(t)] for t in tables) ** comp.count
+    for x, lhs, rhs in class_counts(instance, [pool] * comp.count):
         reps = [G.cen_class_reps(xt) for xt in x]
-        report.cases_checked += math.prod(len(set(rep.values())) for rep in reps)
         lhs = {
             tuple(rep[G.power(g, r)] for rep, g in zip(reps, key)): count
             for key, count in lhs.items()

@@ -9,12 +9,13 @@ stored.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from .braids import BraidWord, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
-from .holonomy import checked_x_tuples, enumerate_homs
+from .holonomy import checked_x_pool, enumerate_homs
 
 
 def _check_lengths(n, x, h):
@@ -106,10 +107,10 @@ def dw_table(
     beta: BraidWord, G: FiniteGroup, x_scope: str = "representatives"
 ) -> DWTable:
     """Full table: every x in scope, aggregated exactly and by centralizer
-    class.  One enumeration pass per x, after checked_x_tuples."""
+    class.  One enumeration pass per x, after checked_x_pool."""
     comp = components(beta)
     table = DWTable(beta, G, comp.count, x_scope)
-    for x in checked_x_tuples(G, comp, x_scope):
+    for x in itertools.product(checked_x_pool(G, comp, x_scope), repeat=comp.count):
         recs = enumerate_homs(beta, G, x_constraint=x)
         table.exact.update(Counter((x, r.longitude) for r in recs))
         for reps, count in class_buckets(G, x, recs).items():

@@ -16,11 +16,11 @@ class under conjugation by a subgroup's generators: G's at construction,
 every other centralizer's, through a greedy generating set, once, on first
 use, as a table from each member to its class representative
 (FiniteGroup.cen_class_reps), shared by every x with that Cen(x), which is
-scanned from the table when asked for; a central x gets G's.  The counting
-and congruence loops look classes up there, and its keys are Cen(x).
-Conjugation orbits under any set of elements, which the scan's stabilizer
-chain needs, are split by FiniteGroup.orbits.  A permutation group's names
-are formatted when read (FiniteGroup.element_name).
+scanned from the table when asked for; a central x gets G's, with no scan.
+The counting and congruence loops look classes up there.  The scan's
+stabilizer chain splits orbits by FiniteGroup.orbits and cuts stabilizers
+by FiniteGroup.centralizer_in, which reads a built class table's keys.  A
+permutation group's names are formatted when read (FiniteGroup.element_name).
 """
 
 from __future__ import annotations
@@ -306,6 +306,15 @@ class FiniteGroup:
                 orbits[r] = orbit
         return orbits
 
+    def centralizer_in(self, S, x: int) -> tuple[int, ...]:
+        """The members of S that commute with x, for the scan's stabilizer
+        chain: the keys of Cen(x)'s class table if S is G and it is built."""
+        reps = self._cen_reps.get(x)
+        if reps is not None and len(S) == self.order:
+            return tuple(reps)
+        row, mul = self.table[x], self.table
+        return tuple([h for h in S if row[h] == mul[h][x]])
+
     def _classes(self, members, gens=None) -> tuple[ConjClass, ...]:
         """The conjugacy classes of the subgroup with the ascending members,
         generated by gens, or for None by a greedy generating set
@@ -337,13 +346,6 @@ class FiniteGroup:
         column = map(itemgetter(x), self.table)
         return tuple(compress(range(self.order), map(eq, column, self.table[x])))
 
-    def centralizer_set(self, x: int) -> set[int]:
-        """The members of Cen(x) as a set: the keys of cen_class_reps(x)
-        when that is built, else a centralizer scan, which is cheaper than
-        building it."""
-        reps = self._cen_reps.get(x)
-        return set(self.centralizer(x) if reps is None else reps)
-
     def cen_class_reps(self, x: int) -> dict[int, int]:
         """Map every h in Cen(x) to the smallest member of its conjugacy
         class inside Cen(x).  Built on first use, and shared by every x with
@@ -351,11 +353,11 @@ class FiniteGroup:
         callers must not modify."""
         reps = self._cen_reps.get(x)
         if reps is None:
-            members = self.centralizer(x)
+            central = len(self.classes[self.class_of[x]].members) == 1
+            members = self.elements() if central else self.centralizer(x)
             reps = self._cen_reps.get(members)
             if reps is None:
-                whole = len(members) == self.order
-                classes = self.classes if whole else self._classes(members)
+                classes = self.classes if central else self._classes(members)
                 reps = self._cen_reps[members] = {c: r for r, cl in classes for c in cl}
             self._cen_reps[x] = reps
         return reps

@@ -16,33 +16,24 @@ is walked with _act.  _act stays the reference the walker is tested
 against.  Per-component meridian and longitude images are derived from a
 fixed tuple.
 
-The scan is reduced by conjugation, along a stabilizer chain over the
-positions (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
-559; McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).  Let H be the elements commuting with every prescribed meridian
-(all of G when none is prescribed).  Conjugating a tuple entrywise by h in
-H commutes with the braid action, since _act only forms group words, and
-maps every candidate set to itself.  So H permutes the fixed tuples.  The
-positions are taken in order, from S = H.  The stabilizer S of the entries
-placed so far splits the pool of the next position into S-orbits with
-G.orbits; the smallest member r of each orbit is placed there, with a
-transversal T of S / Cen_S(r), one h per orbit member, and Cen_S(r) is the
-stabilizer at the next position.  Every fixed tuple b is then g a g^-1,
-g = h_0 h_1 ..., for exactly one fixed tuple a of representatives and one
-h_i in each level's T_i.  So a stands for |T_0| |T_1| ... fixed tuples.
-A position's pool is its candidates from candidate_sets; with no meridian
-prescribed, a position after the first of its cycle runs over the
-conjugacy class of that first entry, since the entries of a fixed tuple
-along one cycle are conjugate.  A central S fixes every candidate, so once
-S is central and the first entry of every cycle is placed, the rest of the
-positions are one product.  The one loop over these representatives is
-_scan, which walks the braid orbit of each a for a bounded number of
-steps.  enumerate_homs takes the a back after one step and expands each
-one over the product of its transversals; the result is exact, with no
-duplicates to remove.  count_fixed_tuples (behind `homs --count`) sums the
-weights |T_0| |T_1| ... over the same a and builds no tuple.
-periodic_scan takes the a back after p^j steps, for both closures that
-congruence.verify compares, and weighs each the same way.
+The scan is reduced by conjugation, which commutes with the braid action,
+since _act only forms group words, along a stabilizer chain (Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559; McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  It places
+the basepoints first, then the other positions in order, each over the
+class of its cycle's basepoint entry, since the entries of a fixed tuple
+along a cycle are conjugate.  S, the elements fixing the entries placed so
+far, starts as G.  Each prescribed meridian is a branch of its own and
+cuts S to its centralizer; elsewhere S splits the pool into orbits
+(G.orbits), and the smallest member r of each is placed, with a transversal
+T of S / Cen_S(r), and S cut to Cen_S(r).  So every fixed tuple is g a
+g^-1, g = h_0 h_1 ..., for exactly one fixed tuple a of representatives,
+with its prescribed meridians, and one h_i in each level's T_i: a stands
+for |T_0| |T_1| ... of them.  Once S is central and the basepoints placed,
+the rest is one product.  _scan walks each a's braid orbit a bounded number
+of steps: enumerate_homs takes the a back after one and expands them over
+their transversals, count_fixed_tuples (`homs --count`) sums their weights,
+and periodic_scan takes them back after p^j steps for congruence.verify.
 """
 
 from __future__ import annotations
@@ -259,81 +250,75 @@ def _x_pool(G: FiniteGroup, scope: str):
     raise ValueError(f"unknown x scope {scope!r}")
 
 
-def x_tuples(G: FiniteGroup, n: int, scope: str):
-    """Meridian-prescription tuples: one class representative per component
-    by default, or all of G^n with scope='all'."""
-    return itertools.product(_x_pool(G, scope), repeat=n)
-
-
-def checked_x_tuples(G: FiniteGroup, comp: ComponentData, scope: str):
-    """x_tuples for the closure of comp, once the sweep is known to fit:
-    at most SEARCH_CAP tuples (each costs at least one scanned candidate),
-    and no tuple's search space over SEARCH_CAP, checked through the largest
-    before any x is scanned: the space at x is the product over components
-    of |C(x_t)|^(|c_t| - 1), largest at a largest class C(x_t) for every t."""
+def checked_x_pool(G: FiniteGroup, comp: ComponentData, scope: str):
+    """The meridians of each component in a sweep of comp's closure, once
+    it is known to fit: at most SEARCH_CAP tuples (each costs at least one
+    scanned candidate), and no tuple's search space over SEARCH_CAP, checked
+    through the largest: the space at x is the product over components of
+    |C(x_t)|^(|c_t| - 1), largest at a largest class C(x_t) for every t."""
     pool = _x_pool(G, scope)
     check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
     largest = max(G.classes, key=lambda c: len(c.members)).representative
     candidate_sets(G, comp, (largest,) * comp.count)
-    return x_tuples(G, comp.count, scope)
+    return pool
 
 
-def _scan(beta, G, x_constraint, limit, allow_large=False):
+def _scan(beta, G, pools, limit):
     """The one scan of the chain's representatives (see the module
-    docstring): walk each representative a's orbit a, f a, f^2 a, ... under
-    beta's action f for at most limit steps.  Yields (a, L, transversals)
-    for every a back at itself after L <= limit steps, in lexicographic
-    order of a: one transversal per level, mapping each member c of the
-    orbit of a's entry there to the h in that level's stabilizer that
-    conjugates the entry to c.  A position with one candidate forms no
-    level.  The orbits are split once per pool and stabilizer, and a
-    stabilizer is computed only where a later position has more than one
-    candidate.  Prescribed meridians prune by class in
-    candidate_sets, and the p^j steps of periodic_scan are prime to the
-    cycle lengths, so beta^(p^j) has beta's cycles."""
+    docstring) over the meridian tuples in the product of pools, one pool
+    per component, or over all of them for None: walk each representative
+    a's orbit under beta's action for at most limit steps.  Yields (x, a,
+    L, transversals), x a's meridians, the a of one x one after another, for
+    every a back at itself after L <= limit steps: one transversal per
+    level, mapping each member c of the orbit of a's entry there to the h
+    in that level's stabilizer that conjugates the entry to c.  The callers
+    check the search space (candidate_sets)."""
     comp = beta.components
-    cands = candidate_sets(G, comp, x_constraint, allow_large)
-    m = len(cands)
-    if x_constraint is None:
-        H = G.elements()
-        lead = {p: cyc[0] for cyc in comp.cycles for p in cyc[1:]}
-    else:
-        H = set.intersection(*map(G.centralizer_set, x_constraint))
-        lead = {}
+    n, m = comp.count, beta.strands
     classes, class_of = G.classes, G.class_of
     orbit, mul, inv = beta.orbit, G.table, G.inv
+    prescribed = pools is not None
+    pools = pools if prescribed else [G.elements()] * n
+    # slot i of the chain holds position order[i], of component owner[i]
+    rest = sorted((p, t) for t, cyc in enumerate(comp.cycles) for p in cyc[1:])
+    order = [*comp.basepoints, *(p for p, _ in rest)]
+    owner = [*range(n), *(t for _, t in rest)]
+    reorder = None
+    if order != sorted(order):
+        reorder = operator.itemgetter(*sorted(range(m), key=order.__getitem__))
     central = {cl.representative for cl in classes if len(cl.members) == 1}
-    last_lead = max(lead.values(), default=-1)
-    last_multi = max((p for p, c in enumerate(cands) if len(c) > 1), default=-1)
     split = functools.cache(G.orbits)
 
-    def pool(p, a):
-        return classes[class_of[a[lead[p]]]].members if p in lead else cands[p]
+    def pool(i, a):
+        return pools[i] if i < n else classes[class_of[a[owner[i]]]].members
+
+    def cut(S, r, i):  # no position after the last needs a stabilizer
+        return S if i == m - 1 or r in central else G.centralizer_in(S, r)
 
     def chain(a, S, transversals):
-        """The prefixes a from which the rest of the positions are one
-        product, with the transversals of their levels."""
-        p = len(a)
-        # S fixes a lone candidate, so it forms no level
-        while p < m and len(P := pool(p, a)) == 1:
-            a, p = a + tuple(P), p + 1
-        if p > last_lead and (p > last_multi or central.issuperset(S)):
+        # the prefixes a after which the rest is one product, and their levels
+        i = len(a)
+        # a lone candidate forms no level: S fixes it, or it is a meridian
+        # and cuts S to its stabilizer
+        while i < m and len(P := pool(i, a)) == 1:
+            if i < n:
+                S = cut(S, P[0], i)
+            a, i = a + tuple(P), i + 1
+        if i >= n and (i == m or central.issuperset(S)):
             yield a, transversals
-            return
-        for r, t in split(pool(p, a), S).items():
-            # a stabilizer is needed only while a later position has more
-            # than one candidate
-            S_r = S
-            if p < last_multi:
-                S_r = tuple(h for h in S if mul[h][r] == mul[r][h])
-            yield from chain(a + (r,), S_r, transversals + (t,))
+        elif i < n and prescribed:
+            for r in P:
+                yield from chain(a + (r,), cut(S, r, i), transversals)
+        else:
+            for r, t in split(P, S).items():
+                yield from chain(a + (r,), cut(S, r, i), transversals + (t,))
 
-    for a, transversals in chain((), tuple(sorted(H)), ()):
-        for b in itertools.product(*(pool(q, a) for q in range(len(a), m))):
-            b = a + b
+    for a, transversals in chain((), G.elements(), ()):
+        for b in itertools.product(*(pool(i, a) for i in range(len(a), m))):
+            b = a + b if reorder is None else reorder(a + b)
             L = orbit(b, mul, inv, limit)
             if L:
-                yield b, L, transversals
+                yield a[:n], b, L, transversals
 
 
 def enumerate_homs(
@@ -354,7 +339,9 @@ def enumerate_homs(
     comp = beta.components
     mul, inv = G.table, G.inv
     fixed = []
-    for a, _, transversals in _scan(beta, G, x_constraint, 1, allow_large):
+    candidate_sets(G, comp, x_constraint, allow_large)
+    pools = x_constraint and [(xt,) for xt in x_constraint]
+    for _, a, _, transversals in _scan(beta, G, pools, 1):
         for hs in itertools.product(*map(dict.values, transversals)):
             g = functools.reduce(lambda g, h: mul[g][h], hs, G.id)
             gi = inv[g]
@@ -387,28 +374,29 @@ def count_fixed_tuples(
     """The number of fixed tuples of the braid action, as count_homs, with
     no record built: each scanned representative stands for |T_0| |T_1| ...
     of them (see the module docstring)."""
-    return sum(
-        math.prod(map(len, transversals))
-        for _, _, transversals in _scan(beta, G, x_constraint, 1, allow_large)
-    )
+    candidate_sets(G, beta.components, x_constraint, allow_large)
+    scan = _scan(beta, G, x_constraint and [(xt,) for xt in x_constraint], 1)
+    return sum(math.prod(map(len, transversals)) for *_, transversals in scan)
 
 
-def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
+def periodic_scan(beta: BraidWord, G: FiniteGroup, pools, p: int, k: int):
     """Boundary data of both closures in verify from one scan of beta's
-    candidates at the meridian tuple x, for a prime p whose powers are
-    coprime to every cycle length of beta.
+    candidates over the meridian tuples in the product of pools (see
+    _scan), for a prime p whose powers are coprime to every cycle length
+    of beta.
 
     Write f for beta's action on tuples.  The action of beta^(p^k) is
     f^(p^k), its cycles have the member sets of beta's (so the candidate
     sets, the chain and its transversals are the same), and conjugation by
-    H commutes with f.  So for each scanned representative a this walks the
-    f-orbit a, f a, f^2 a, ... until it returns to a, after L steps, or
-    until p^k steps have passed.  a is fixed by f^(p^k) exactly when L =
-    p^j with j <= k, and by f exactly when L = 1.  Yields (weight, big,
-    small) for each a fixed by f^(p^k): weight is |T_0| |T_1| ..., the
-    number of fixed tuples a stands for, big the longitude images of the
-    closure of beta^(p^k) at a, and small those of the closure of beta, or
-    None when L > 1.
+    the chain's stabilizers commutes with f.  So for each scanned
+    representative a this walks the f-orbit a, f a, f^2 a, ... until it
+    returns to a, after L steps, or until p^k steps have passed.  a is
+    fixed by f^(p^k) exactly when L = p^j with j <= k, and by f exactly
+    when L = 1.  Yields (x, weight, big, small) for each a fixed by
+    f^(p^k), x its meridians (framed once per x): weight is |T_0| |T_1|
+    ..., the number of fixed tuples a stands for, big the longitude images
+    of the closure of beta^(p^k) at a, and small those of the closure of
+    beta, or None when L > 1.
 
     The longitude of beta^(p^k) (see longitude_image) left-multiplies the
     holonomies of the strands of component t, of cycle c_t of length c,
@@ -426,14 +414,17 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
     # steps, b the bit length of |G|^m: capping k at b spares forming p^k
     limit = p ** min(k, (order**beta.strands).bit_length())
     q = pow(p, k, order)
-    frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
-    frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
-    for a, L, transversals in _scan(beta, G, x, limit):
+    x = None
+    for meridians, a, L, transversals in _scan(beta, G, pools, limit):
         j, r = 0, L
         while r % p == 0:
             j, r = j + 1, r // p
         if r != 1:
             continue
+        if meridians != x:
+            x = meridians
+            frame = [G.power(xt, -w) for xt, w in zip(x, comp.self_writhe)]
+            frame_big = [G.power(xt, -q * w) for xt, w in zip(x, comp.self_writhe)]
         # L holonomy passes take b once around the orbit of a
         b = list(a)
         hols = [_holonomies(beta.steps, b, G) for _ in range(L)]
@@ -441,4 +432,4 @@ def periodic_scan(beta: BraidWord, G: FiniteGroup, x, p: int, k: int):
         e = pow(p, k - j, order)
         big = tuple(mul[G.power(g, e)][f] for g, f in zip(P, frame_big))
         small = tuple(mul[g][f] for g, f in zip(P, frame)) if L == 1 else None
-        yield math.prod(map(len, transversals)), big, small
+        yield x, math.prod(map(len, transversals)), big, small

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from dwlink.errors import (
 )
 
 from test_acceptance import F21, THEOREM_CATALOG
+from test_holonomy import position_order_scan, scanned, x_tuples
 from two_bridge_oracle import pair_orbit
 
 
@@ -264,10 +266,21 @@ def _letter_walk_counts(inst, big, x):
 
 
 def _long_orbits(inst, x):
-    """Scanned representatives on beta-orbits of length > 1."""
+    """Scanned representatives on beta-orbits of length > 1 at the meridian
+    tuple x."""
     beta, p, k, G = inst.beta, inst.p, inst.k, inst.group
-    scan = holonomy.periodic_scan(beta, G, x, p, k)
-    return sum(small is None for _, _, small in scan)
+    scan = holonomy.periodic_scan(beta, G, [(xt,) for xt in x], p, k)
+    return sum(small is None for *_, small in scan)
+
+
+def _sweep_counts(inst, scope="representatives"):
+    """congruence.class_counts over the sweep of scope, from one call: a
+    function from each meridian tuple x to its (lhs, rhs), empty Counters
+    for an x with no fixed tuple."""
+    n = braids.components(inst.beta).count
+    pools = [holonomy._x_pool(inst.group, scope)] * n
+    counts = {x: (lhs, rhs) for x, lhs, rhs in congruence.class_counts(inst, pools)}
+    return lambda x: counts.get(x, (Counter(), Counter()))
 
 
 # the verify argvs of the benchmark workloads verify-classes and
@@ -312,14 +325,15 @@ class TestOrbitCensus:
         n = braids.components(inst.beta).count
         # one power per instance, so its orbit walker is compiled once
         big = braids.braid_power(inst.beta, inst.p**inst.k)
-        for x in holonomy.x_tuples(inst.group, n, "representatives"):
-            assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, big, x)
+        counts = _sweep_counts(inst)
+        for x in x_tuples(inst.group, n, "representatives"):
+            assert counts(x) == _letter_walk_counts(inst, big, x)
 
     def test_orbit_length_p_squared(self):
         # no long orbit of this instance is fixed by beta^2: they have length 4
         def long_orbits(k):
             inst = make("4: 2 -1 2 2 1 3 3 3", 2, k, F21)
-            xs = holonomy.x_tuples(inst.group, 2, "representatives")
+            xs = x_tuples(inst.group, 2, "representatives")
             return sum(_long_orbits(inst, x) for x in xs)
 
         assert long_orbits(1) == 0 and long_orbits(2) > 0
@@ -347,8 +361,9 @@ class TestOrbitCensus:
                 inst = congruence.check_preconditions(beta, p, k, G)
             n = braids.components(inst.beta).count
             big = braids.braid_power(inst.beta, inst.p**inst.k)
-            for x in holonomy.x_tuples(inst.group, n, "representatives"):
-                assert congruence.class_counts(inst, x) == _letter_walk_counts(inst, big, x)
+            counts = _sweep_counts(inst)
+            for x in x_tuples(inst.group, n, "representatives"):
+                assert counts(x) == _letter_walk_counts(inst, big, x)
                 long_orbits.append(_long_orbits(inst, x))
 
         census_matches()
@@ -376,8 +391,9 @@ def _dense_verify(inst, x_scope="representatives"):
     q = pow(p, inst.k, G.order)
     n = braids.components(inst.beta).count
     report = congruence.CongruenceReport(inst, n)
-    for x in holonomy.x_tuples(G, n, x_scope):
-        lhs, rhs = congruence.class_counts(inst, x)
+    counts = _sweep_counts(inst, x_scope)
+    for x in x_tuples(G, n, x_scope):
+        lhs, rhs = counts(x)
         reps = [G.cen_class_reps(xt) for xt in x]
         rep_lists = [sorted(set(rep.values())) for rep in reps]
         for h in itertools.product(*rep_lists):
@@ -401,8 +417,9 @@ def _forward_map_verify(inst, x_scope="representatives"):
     r = pow(p, -inst.k, G.order)
     n = braids.components(inst.beta).count
     report = congruence.CongruenceReport(inst, n)
-    for x in holonomy.x_tuples(G, n, x_scope):
-        lhs, rhs = congruence.class_counts(inst, x)
+    counts = _sweep_counts(inst, x_scope)
+    for x in x_tuples(G, n, x_scope):
+        lhs, rhs = counts(x)
         reps = [G.cen_class_reps(xt) for xt in x]
         report.cases_checked += math.prod(len(set(rep.values())) for rep in reps)
         hs = {tuple(rep[G.power(g, r)] for rep, g in zip(reps, key)) for key in lhs}
@@ -479,6 +496,150 @@ class TestCaseLoop:
         # (7 + 5 * 11 + 2)^4 cases, of which few are counted on either side
         report = congruence.verify(make("4:", 5, 3, "dihedral:11"))
         assert report.ok and report.cases_checked == 64**4 == 16777216
+
+
+def _per_x_counts(inst, scope="representatives"):
+    """class_counts at every meridian tuple of the sweep, each from its own
+    scan along the position-order chain (position_order_scan), and the
+    number of tuples those scans walk: the reference for verify's one
+    chain, whose basepoints are its first levels."""
+    beta, G = inst.beta, inst.group
+    counts = {}
+
+    def run():
+        with mock.patch.object(holonomy, "_scan", position_order_scan):
+            for x in x_tuples(G, braids.components(beta).count, scope):
+                pools = [(xt,) for xt in x]
+                for _, lhs, rhs in congruence.class_counts(inst, pools):
+                    counts[x] = lhs, rhs
+
+    return counts, scanned(beta, run)
+
+
+def _one_scan_counts(inst, scope="representatives"):
+    """class_counts over the whole sweep from one call, keyed by x, and the
+    number of tuples it walks."""
+    beta, G = inst.beta, inst.group
+    pools = [holonomy._x_pool(G, scope)] * braids.components(beta).count
+    counts = {}
+
+    def run():
+        for x, lhs, rhs in congruence.class_counts(inst, pools):
+            counts[x] = lhs, rhs
+
+    return counts, scanned(beta, run)
+
+
+def _basepoint_after_other_positions(beta):
+    """Whether some component's basepoint comes after a position of
+    another component that is not that component's basepoint."""
+    comp = braids.components(beta)
+    rest = [p for cyc in comp.cycles for p in cyc[1:]]
+    return any(p < b for p in rest for b in comp.basepoints)
+
+
+class TestOneChainPerSweep:
+    """verify's one scan, whose stabilizer chain places the basepoints
+    first, against one scan per meridian tuple along the position-order
+    chain: the same counts at every x, from no more walked tuples.  Output
+    bytes alone cannot show this: a chain that split a position before the
+    basepoint after it weighed its representatives wrongly on both sides
+    alike."""
+
+    def test_basepoint_after_other_positions(self):
+        # cycles (0 1) and (2): position 1 comes before basepoint 2
+        inst = make("3: 1 1 1 2 2", 5, 1, "symmetric:4")
+        assert _basepoint_after_other_positions(inst.beta)
+        (counts, walked), (expected, reference) = (
+            _one_scan_counts(inst), _per_x_counts(inst)
+        )
+        assert counts == expected and len(counts) > 1
+        assert walked == reference == 92
+
+    @pytest.mark.parametrize(
+        "braid, p, k, gspec, walked",
+        [
+            ("3: 1 1 -2", 7, 1, "symmetric:6", 5994),
+            ("3: 1 2", 7, 4, "symmetric:5", 546),
+            ("3: 1 1 1 2 2", 5, 1, "symmetric:4", 92),
+        ],
+        ids=["verify-classes", "verify-periodic", "s4-late-basepoint"],
+    )
+    def test_walks_pinned(self, braid, p, k, gspec, walked):
+        inst = make(braid, p, k, gspec)
+        assert scanned(inst.beta, lambda: congruence.verify(inst)) == walked
+
+    @pytest.mark.parametrize(
+        "braid, p, k, gspec, cases",
+        [
+            ("3: 1 1 -2", 7, 1, "symmetric:6", 8464),
+            ("3: 1 2", 7, 4, "symmetric:5", 39),
+            ("3: 1 1 1 2 2", 5, 1, "symmetric:4", 441),
+        ],
+        ids=["verify-classes", "verify-periodic", "s4-late-basepoint"],
+    )
+    def test_cases_checked_pinned(self, braid, p, k, gspec, cases):
+        assert congruence.verify(make(braid, p, k, gspec)).cases_checked == cases
+
+    def test_per_x_counts_property(self):
+        late = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(data=st.data())
+        @example(data=None)
+        def same_counts(data):
+            if data is None:
+                inst, scope = make("3: 1 1 1 2 2", 5, 1, "symmetric:4"), "all"
+            else:
+                G, p = data.draw(st.sampled_from(PROPERTY_CASES))
+                m = data.draw(st.integers(2, 4))
+                alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+                letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=6))
+                beta = braids.BraidWord(m, tuple(letters))
+                n = braids.components(beta).count
+                assume(n >= 2 and all(len(c) % p for c in braids.components(beta).cycles))
+                inst = congruence.check_preconditions(beta, p, data.draw(st.integers(1, 2)), G)
+                scopes = ["representatives"] + ["all"] * (G.order**n <= 24**2)
+                scope = data.draw(st.sampled_from(scopes))
+            late.append(_basepoint_after_other_positions(inst.beta))
+            (counts, walked), (expected, reference) = (
+                _one_scan_counts(inst, scope), _per_x_counts(inst, scope)
+            )
+            assert counts == expected
+            assert walked <= reference
+
+        same_counts()
+        assert any(late) and not all(late)
+
+
+class TestCentralizerScans:
+    """cen_class_reps scans for Cen(x) only when x is not central: a central
+    x, alone in its class of G, takes G's class table."""
+
+    def spied(self, monkeypatch):
+        scans, real = [], groups.FiniteGroup.centralizer
+
+        def spy(self, x):
+            scans.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(groups.FiniteGroup, "centralizer", spy)
+        return scans
+
+    def test_central_sweep_scans_nothing(self, monkeypatch):
+        scans = self.spied(monkeypatch)
+        report = congruence.verify(make("2: 1", 3, 1, "cyclic:1000"))
+        # 1,000 classes in each x's centralizer, G
+        assert report.ok and report.cases_checked == 1000 * 1000
+        assert scans == []
+
+    def test_non_central_x_scan_once(self, monkeypatch):
+        scans = self.spied(monkeypatch)
+        inst = make("3: 1 1 -2", 7, 1, "symmetric:6")
+        congruence.verify(inst)
+        G = inst.group
+        non_central = [c.representative for c in G.classes if len(c.members) > 1]
+        assert sorted(scans) == non_central
 
 
 class TestClassTablesPerCentralizer:

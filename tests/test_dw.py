@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dwlink import braids, dw, groups, holonomy
 from dwlink.errors import HNotInCentralizer, SearchTooLarge
 
+from test_holonomy import x_tuples
+
 
 class TestDwExact:
     def test_unknot(self):
@@ -117,7 +119,7 @@ class TestDwTable:
         G = groups.symmetric(3)
         b = braids.parse_braid("2: 1 1")
         table = dw.dw_table(b, G, x_scope="representatives")
-        for x in holonomy.x_tuples(G, 2, "representatives"):
+        for x in x_tuples(G, 2, "representatives"):
             total = sum(c for (xx, _), c in table.exact.items() if xx == x)
             assert total == len(holonomy.enumerate_homs(b, G, x_constraint=x))
 
@@ -156,10 +158,10 @@ CAP_GROUPS = [
 
 def per_tuple_check(G, comp, scope):
     """The sweep check as a loop over every meridian tuple: the reference
-    for checked_x_tuples."""
+    for checked_x_pool."""
     pool = holonomy._x_pool(G, scope)
     holonomy.check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
-    for x in holonomy.x_tuples(G, comp.count, scope):
+    for x in x_tuples(G, comp.count, scope):
         holonomy.candidate_sets(G, comp, x)
 
 
@@ -191,7 +193,7 @@ class TestCheckedXTuples:
                 largest *= top ** (len(cyc) - 1)
             for cap in (largest, largest - 1):
                 monkeypatch.setattr(holonomy, "SEARCH_CAP", cap)
-                assert refuses(holonomy.checked_x_tuples, G, comp, scope) == refuses(
+                assert refuses(holonomy.checked_x_pool, G, comp, scope) == refuses(
                     per_tuple_check, G, comp, scope
                 )
 

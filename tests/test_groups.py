@@ -640,16 +640,6 @@ class TestCentralizer:
         assert not hasattr(groups, "Subgroup")
 
 
-class TestCentralizerSet:
-    @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5", "quaternion:8"])
-    def test_before_and_after_class_table(self, spec):
-        G = groups.from_group_spec(spec)
-        for x in G.elements():
-            assert G.centralizer_set(x) == set(G.centralizer(x))
-            G.cen_class_reps(x)
-            assert G.centralizer_set(x) == set(G.centralizer(x))
-
-
 class TestClassInSubgroup:
     def test_trivial_subgroup(self):
         G = groups.symmetric(3)

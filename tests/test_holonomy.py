@@ -20,6 +20,13 @@ from two_bridge_oracle import (
 from wirtinger_oracle import wirtinger_count
 
 
+def x_tuples(G, n, scope):
+    """The meridian tuples of a sweep over the closure of an n-component
+    braid: n-tuples of one class representative each, or of all of G with
+    scope 'all'."""
+    return itertools.product(holonomy._x_pool(G, scope), repeat=n)
+
+
 def random_braid(rng, max_strands=4, max_len=8):
     m = rng.randint(1, max_strands)
     length = rng.randint(0, max_len) if m > 1 else 0
@@ -181,27 +188,78 @@ def unreduced_homs(beta, G, x=None):
     return recs
 
 
-def one_level_scan(beta, G, x_constraint, limit, allow_large=False):
-    """holonomy._scan with its stabilizer chain cut after the first level:
-    position p0 runs over one representative per H-orbit, every other
-    position over all its candidates, and the one transversal is p0's.  The
-    reference that the chain is tested against."""
+def one_level_scan(beta, G, pools, limit):
+    """holonomy._scan with its stabilizer chain cut after the first level,
+    one meridian tuple x of the product of pools at a time (all of them at
+    once for None): position p0 runs over one representative per H-orbit,
+    every other position over all its candidates, and the one transversal
+    is p0's.  The reference that the chain is tested against; like
+    _scan, it leaves the cap to its callers."""
     comp = braids.components(beta)
-    cands = holonomy.candidate_sets(G, comp, x_constraint, allow_large)
-    if x_constraint is None:
-        H = G.elements()
-    else:
-        H = set.intersection(*(set(G.centralizer(xt)) for xt in x_constraint))
-    p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
-    trans = G.orbits(cands[p0], H)
-    cands[p0] = list(trans)
-    for a in itertools.product(*cands):
-        b = a
-        for L in range(1, limit + 1):
-            b = holonomy.artin_action(beta, b, G)
-            if b == a:
-                yield a, L, (trans[a[p0]],)
-                break
+    for x in [None] if pools is None else itertools.product(*pools):
+        cands = holonomy.candidate_sets(G, comp, x, allow_large=True)
+        if x is None:
+            H = G.elements()
+        else:
+            H = set.intersection(*(set(G.centralizer(xt)) for xt in x))
+        p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
+        trans = G.orbits(cands[p0], H)
+        cands[p0] = list(trans)
+        for a in itertools.product(*cands):
+            b = a
+            for L in range(1, limit + 1):
+                b = holonomy.artin_action(beta, b, G)
+                if b == a:
+                    meridians = tuple(a[q] for q in comp.basepoints)
+                    yield meridians, a, L, (trans[a[p0]],)
+                    break
+
+
+def position_order_scan(beta, G, pools, limit):
+    """The stabilizer chain over the positions in their order, one meridian
+    tuple x of the product of pools at a time (all of them at once for
+    None), from H, the elements commuting with every x_t: the scan that
+    placed no meridian as a level of its chain, one call per x.  With no
+    meridian prescribed, a position after the first of its cycle runs over
+    the class of that first entry.  The reference for _scan's per-x counts
+    and walk counts; like _scan, it leaves the cap to its callers."""
+    comp = beta.components
+    mul, inv, orbit = G.table, G.inv, beta.orbit
+    central = {cl.representative for cl in G.classes if len(cl.members) == 1}
+    for x in [None] if pools is None else itertools.product(*pools):
+        cands = holonomy.candidate_sets(G, comp, x, allow_large=True)
+        m = len(cands)
+        if x is None:
+            H = G.elements()
+            lead = {p: cyc[0] for cyc in comp.cycles for p in cyc[1:]}
+        else:
+            H = set.intersection(*(set(G.centralizer(xt)) for xt in x))
+            lead = {}
+        last_lead = max(lead.values(), default=-1)
+        last_multi = max((p for p, c in enumerate(cands) if len(c) > 1), default=-1)
+
+        def pool(p, a):
+            return G.classes[G.class_of[a[lead[p]]]].members if p in lead else cands[p]
+
+        def chain(a, S, transversals):
+            p = len(a)
+            while p < m and len(P := pool(p, a)) == 1:
+                a, p = a + tuple(P), p + 1
+            if p > last_lead and (p > last_multi or central.issuperset(S)):
+                yield a, transversals
+                return
+            for r, t in G.orbits(pool(p, a), S).items():
+                S_r = S
+                if p < last_multi:
+                    S_r = tuple(h for h in S if mul[h][r] == mul[r][h])
+                yield from chain(a + (r,), S_r, transversals + (t,))
+
+        for a, transversals in chain((), tuple(sorted(H)), ()):
+            for b in itertools.product(*(pool(q, a) for q in range(len(a), m))):
+                b = a + b
+                L = orbit(b, mul, inv, limit)
+                if L:
+                    yield tuple(b[q] for q in comp.basepoints), b, L, transversals
 
 
 def one_level_homs(beta, G, x=None):
@@ -210,11 +268,12 @@ def one_level_homs(beta, G, x=None):
 
 
 def periodic_weights(beta, G, x, p, k, scan=None):
-    """periodic_scan's weights summed per (big, small), through the one-level
-    reference scan when scan is given."""
+    """periodic_scan's weights at the meridian tuple x summed per (big,
+    small), through the reference scan scan when it is given."""
+    pools = [(xt,) for xt in x]
     with mock.patch.object(holonomy, "_scan", scan or holonomy._scan):
         weights = Counter()
-        for w, big, small in holonomy.periodic_scan(beta, G, x, p, k):
+        for _, w, big, small in holonomy.periodic_scan(beta, G, pools, p, k):
             weights[big, small] += w
         return weights
 
@@ -237,17 +296,22 @@ CHAIN_GROUPS = [
 def levels(beta, G, x=None):
     """{"three or more levels"} when the chain of some fixed tuple has at
     least three levels, else the empty set."""
-    scan = holonomy._scan(beta, G, x, 1)
-    if any(len(transversals) >= 3 for _, _, transversals in scan):
+    scan = holonomy._scan(beta, G, x and [(xt,) for xt in x], 1)
+    if any(len(transversals) >= 3 for *_, transversals in scan):
         return {"three or more levels"}
     return set()
 
 
+def walks(beta, run):
+    """run()'s result and the number of tuples it walks through beta's
+    orbit walker."""
+    with mock.patch.dict(beta.__dict__, orbit=mock.Mock(wraps=beta.orbit)):
+        return run(), beta.orbit.call_count
+
+
 def scanned(beta, run):
     """The number of tuples that run() walks through beta's orbit walker."""
-    with mock.patch.dict(beta.__dict__, orbit=mock.Mock(wraps=beta.orbit)):
-        run()
-        return beta.orbit.call_count
+    return walks(beta, run)[1]
 
 
 class TestOrbitReduction:
@@ -341,7 +405,7 @@ class TestOrbitReduction:
     def test_periodic_weights_match_one_level(self, braid, p, k, gspec):
         b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
         n = braids.components(b).count
-        for x in holonomy.x_tuples(G, n, "representatives"):
+        for x in x_tuples(G, n, "representatives"):
             assert periodic_weights(b, G, x, p, k) == periodic_weights(
                 b, G, x, p, k, one_level_scan
             )
@@ -397,6 +461,32 @@ class TestOrbitReduction:
         if x is not None:
             x = (G.element_index(x),) * b.components.count
         assert holonomy.count_fixed_tuples(b, G, x) == 1
+
+    def test_counts_and_walks_against_position_order(self):
+        # basepoints first leaves every count and record as the chain over
+        # the positions in order made it, and walks no more tuples
+        rng = random.Random(29)
+        corpus = [
+            (braids.parse_braid(word), G)
+            for word in ("3: 1 -2 1 -2", "4: 1 2 3 1 -2 3", "3: 1 1 1 2 2", "4: 1 3")
+            for G in (groups.symmetric(4), groups.dihedral(5))
+        ]
+        for i in range(60):
+            G = CHAIN_GROUPS[i % len(CHAIN_GROUPS)]
+            corpus.append((random_braid(rng, 4 if G.order <= 8 else 3), G))
+        late = 0
+        for b, G in corpus:
+            comp = braids.components(b)
+            rest = [p for cyc in comp.cycles for p in cyc[1:]]
+            late += any(p < q for p in rest for q in comp.basepoints)
+            x = tuple(rng.randrange(G.order) for _ in comp.cycles)
+            for xc in (None, x):
+                for run in (holonomy.count_fixed_tuples, holonomy.enumerate_homs):
+                    got, walked = walks(b, lambda: run(b, G, xc))
+                    with mock.patch.object(holonomy, "_scan", position_order_scan):
+                        expected, reference = walks(b, lambda: run(b, G, xc))
+                    assert got == expected and walked <= reference
+        assert late > 0
 
     def test_s6_count(self):
         # 11,470 tuples scanned, against 5,702,400 at one level
@@ -638,7 +728,7 @@ class TestOrbitWalker:
         b = braids.parse_braid("3: 1 -2 1 -2")
         G = groups.symmetric(3)
         assert holonomy.count_fixed_tuples(b, G) == len(holonomy.enumerate_homs(b, G))
-        assert sum(w for w, _, _ in holonomy.periodic_scan(b, G, (1,), 5, 2)) > 0
+        assert sum(w for _, w, _, _ in holonomy.periodic_scan(b, G, [(1,)], 5, 2)) > 0
         assert built == [b.steps]
 
     def test_cap_boundary(self, monkeypatch):
@@ -660,7 +750,7 @@ class TestOrbitWalker:
             b = braids.parse_braid(word)
             assert braids.components(b).count == n
             weights = Counter()
-            for x in holonomy.x_tuples(G, n, "representatives"):
+            for x in x_tuples(G, n, "representatives"):
                 weights += periodic_weights(b, G, x, 5, 1)
             return (holonomy.count_fixed_tuples(b, G), weights), b.orbit
 
