@@ -9,18 +9,18 @@ dihedral, quaternion, symmetric and perm:) is gathered from its generator
 rows alone (FiniteGroup._gathered): index 0 is the identity, every further
 row is found breadth-first as a found row gathered at a generator's row,
 and only the generator rows are checked.  No other pass reads all n^2
-entries: the inverses follow the breadth-first tree of a generating set
-(the gathered generators, or those Light's test checked), and conjugacy
-classes are split by one routine, FiniteGroup._classes, which closes each
-class under conjugation by a subgroup's generators: G's at construction,
-every other centralizer's, through a greedy generating set, once, on first
-use, as a table from each member to its class representative
-(FiniteGroup.cen_class_reps), shared by every x with that Cen(x), which is
-scanned from the table when asked for; a central x gets G's, with no scan.
-The counting and congruence loops look classes up there.  The scan's
-stabilizer chain splits orbits by FiniteGroup.orbits and cuts stabilizers
-by FiniteGroup.centralizer_in, which reads a built class table's keys.  A
-permutation group's names are formatted when read (FiniteGroup.element_name).
+entries: the inverses follow the breadth-first tree of G's generators
+(FiniteGroup.generators: the gathered ones, or those Light's test checked),
+and every split into conjugation orbits is one routine, FiniteGroup.orbits,
+which closes each orbit under a subgroup's generators in O(n |gens|): G's
+classes at construction; every other centralizer's, through a greedy
+generating set, once, on first use, as a table from each member to its
+class representative (FiniteGroup.cen_class_reps), shared by every x with
+that Cen(x), which is scanned from the table when asked for, a central x
+getting G's with no scan; and each level of the scan's stabilizer chain,
+which cuts stabilizers by FiniteGroup.centralizer_in.  The counting and
+congruence loops look classes up in the tables.  A permutation group's
+names are formatted when read (FiniteGroup.element_name).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _name_of(names, n: int):
     return names.__getitem__
 
 
-def _generators(mul, members, e) -> list[int]:
+def _generators(mul, members, e) -> tuple[int, ...]:
     """A generating set of the subgroup with the ascending members: each
     generator is the smallest member outside the subgroup K that those
     before it generate, so there are at most log2 |members|.  K then grows
@@ -98,7 +98,7 @@ def _generators(mul, members, e) -> list[int]:
                     row = mul[t]
                     reached.update([row[k] for k in K])
                     reps.append(t)
-    return gens
+    return tuple(gens)
 
 
 def _inverses(mul, e, gens) -> tuple[int, ...]:
@@ -175,7 +175,7 @@ class FiniteGroup:
     A table passed in whole is always checked whole: its rows, its names,
     then Light's test.  A built-in group is gathered from its generator rows
     (_gathered).  Either way the inverses and G's classes are then found
-    from a generating set of G, never from a scan of the table."""
+    from the generators it keeps, never from a scan of the table."""
 
     def __init__(self, mul, names=None, name: str = "group"):
         try:
@@ -230,14 +230,16 @@ class FiniteGroup:
         """The set-up that follows the checks, on a group's table of n rows
         of n exact ints in 0..n-1, its identity e, elements gens that
         generate it and the function from an index to its name: inverses
-        and classes, both in O(n |gens|) from the generators."""
+        and classes, both in O(n |gens|) from the generators it keeps."""
         n = len(mul)
         self.order = n
         self.table = mul
         self.name = name
         self.id = e
         self.inv = _inverses(mul, e, gens)
-        self.classes = self._classes(range(n), gens)
+        self.generators = tuple(gens)
+        orbits = self.orbits(range(n), gens).items()
+        self.classes = tuple(ConjClass(r, tuple(sorted(o))) for r, o in orbits)
         self.class_of = [0] * n
         for ci, cl in enumerate(self.classes):
             for g in cl.members:
@@ -290,21 +292,38 @@ class FiniteGroup:
 
     # -- conjugacy machinery -------------------------------------------------
 
-    def orbits(self, members, H) -> dict[int, dict[int, int]]:
-        """Split the H-invariant, ascending list members into orbits under
-        conjugation by the elements of H.  Maps the smallest member r of
-        each orbit to a dict sending each orbit member c to the first h in
-        H with h r h^-1 = c, a transversal of H / Cen_H(r)."""
-        mul, inv = self.table, self.inv
+    def orbits(self, members, gens) -> dict[int, dict[int, int]]:
+        """Split the ascending list members, closed under conjugation by
+        gens, into orbits under the subgroup S that gens generate.  Maps the
+        smallest member r of each orbit to a dict sending each member c to
+        an h in S with h r h^-1 = c, a transversal of S / Cen_S(r).  An
+        orbit is r closed under conjugation by gens, and if h r h^-1 = c,
+        then (s h) r (s h)^-1 = s c s^-1: two products per member and
+        generator, no other entry read (Butler, LNCS 559)."""
+        mul = self.table
+        steps = [(mul[s], self.inv[s]) for s in gens]
         orbits, seen = {}, set()
         for r in members:
             if r not in seen:
-                orbit = {}
-                for h in H:
-                    orbit.setdefault(mul[mul[h][r]][inv[h]], h)
+                orbit, todo = {r: self.id}, [r]
+                # todo is walked while it grows
+                for c in todo:
+                    h = orbit[c]
+                    for s_row, s_inv in steps:
+                        d = mul[s_row[c]][s_inv]
+                        if d not in orbit:
+                            orbit[d] = s_row[h]
+                            todo.append(d)
                 seen.update(orbit)
                 orbits[r] = orbit
         return orbits
+
+    def generators_of(self, S) -> tuple[int, ...]:
+        """A generating set of the subgroup with the ascending members S:
+        the group's own for S = G, else _generators' greedy set."""
+        if len(S) == self.order:
+            return self.generators
+        return _generators(self.table, S, self.id)
 
     def centralizer_in(self, S, x: int) -> tuple[int, ...]:
         """The members of S that commute with x, for the scan's stabilizer
@@ -314,31 +333,6 @@ class FiniteGroup:
             return tuple(reps)
         row, mul = self.table[x], self.table
         return tuple([h for h in S if row[h] == mul[h][x]])
-
-    def _classes(self, members, gens=None) -> tuple[ConjClass, ...]:
-        """The conjugacy classes of the subgroup with the ascending members,
-        generated by gens, or for None by a greedy generating set
-        (_generators).  A class is its smallest member closed under
-        conjugation by gens, which is conjugation by the whole subgroup, as
-        it is finite: |gens| products per member, no other table entry read."""
-        mul = self.table
-        if gens is None:
-            gens = _generators(mul, members, self.id)
-        steps = [(mul[s], self.inv[s]) for s in gens]
-        classes, seen = [], bytearray(len(mul))
-        for r in members:
-            if not seen[r]:
-                seen[r] = 1
-                cl = [r]
-                # cl is walked while it grows
-                for h in cl:
-                    for s_row, s_inv in steps:
-                        c = mul[s_row[h]][s_inv]
-                        if not seen[c]:
-                            seen[c] = 1
-                            cl.append(c)
-                classes.append(ConjClass(r, tuple(sorted(cl))))
-        return tuple(classes)
 
     def centralizer(self, x: int) -> tuple[int, ...]:
         """The members of Cen(x), ascending, scanned from the table on each
@@ -357,7 +351,8 @@ class FiniteGroup:
             members = self.elements() if central else self.centralizer(x)
             reps = self._cen_reps.get(members)
             if reps is None:
-                classes = self.classes if central else self._classes(members)
+                gens = self.generators_of(members)
+                classes = self.classes if central else self.orbits(members, gens).items()
                 reps = self._cen_reps[members] = {c: r for r, cl in classes for c in cl}
             self._cen_reps[x] = reps
         return reps

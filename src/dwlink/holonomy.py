@@ -23,15 +23,16 @@ since _act only forms group words, along a stabilizer chain (Butler,
 the basepoints first, then the other positions in order, each over the
 class of its cycle's basepoint entry, since the entries of a fixed tuple
 along a cycle are conjugate.  S, the elements fixing the entries placed so
-far, starts as G.  Each prescribed meridian is a branch of its own and
-cuts S to its centralizer; elsewhere S splits the pool into orbits
-(G.orbits), and the smallest member r of each is placed, with a transversal
-T of S / Cen_S(r), and S cut to Cen_S(r).  So every fixed tuple is g a
-g^-1, g = h_0 h_1 ..., for exactly one fixed tuple a of representatives,
-with its prescribed meridians, and one h_i in each level's T_i: a stands
-for |T_0| |T_1| ... of them.  Once S is central and the basepoints placed,
-the rest is one product.  _scan walks each a's braid orbit a bounded number
-of steps: enumerate_homs takes the a back after one and expands them over
+far, starts as G.  Each prescribed meridian is a branch of its own and cuts
+S to its centralizer; elsewhere S splits the pool into orbits (G.orbits,
+closing each under a generating set of S, found once per distinct S), and
+the smallest member r of each is placed, with a transversal T of
+S / Cen_S(r), and S cut to Cen_S(r).  So every fixed tuple is g a g^-1,
+g = h_0 h_1 ..., for exactly one fixed tuple a of representatives, with
+its prescribed meridians, and one h_i in each level's T_i: a stands for
+|T_0| |T_1| ... of them.  Once S is central and the basepoints placed, the
+rest is one product.  _scan walks each a's braid orbit a bounded number of
+steps: enumerate_homs takes the a back after one and expands them over
 their transversals, count_fixed_tuples (`homs --count`) sums their weights,
 and periodic_scan takes them back after p^j steps for congruence.verify.
 """
@@ -287,7 +288,9 @@ def _scan(beta, G, pools, limit):
     if order != sorted(order):
         reorder = operator.itemgetter(*sorted(range(m), key=order.__getitem__))
     central = {cl.representative for cl in classes if len(cl.members) == 1}
-    split = functools.cache(G.orbits)
+    # one generating set per stabilizer, one split per pool and stabilizer
+    generators = functools.cache(G.generators_of)
+    split = functools.cache(lambda P, S: G.orbits(P, generators(S)))
 
     def pool(i, a):
         return pools[i] if i < n else classes[class_of[a[owner[i]]]].members

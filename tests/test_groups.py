@@ -543,27 +543,25 @@ class TestConjugacyClasses:
         assert len(G.classes) == 4
 
     def test_commutativity_shortcut_matches_orbit_walk(self, tmp_path, monkeypatch):
-        # every group, abelian or not, is split by closing each class under
-        # its generators, with no orbit walk
+        # every group, abelian or not, is split once, at construction, by
+        # closing each class under its own generators, with no walk over G
         path = tmp_path / "klein.json"
         path.write_text(json.dumps({"mul": [[a ^ b for b in range(4)] for a in range(4)]}))
         specs = [f"cyclic:{n}" for n in (1, 2, 7, 12)] + [f"file:{path}"]
         specs += ["symmetric:3", "quaternion:8", "dihedral:5"]
+        split, orbits = [], groups.FiniteGroup.orbits
 
-        def orbit_walk(G):
-            orbits = G.orbits(G.elements(), G.elements()).items()
-            return tuple(groups.ConjClass(r, tuple(sorted(o))) for r, o in orbits)
+        def spy(self, members, gens):
+            split.append((tuple(members), tuple(gens)))
+            return orbits(self, members, gens)
 
-        built = {spec: groups.from_group_spec(spec) for spec in specs}
-        for G in built.values():
-            assert G.classes == orbit_walk(G)
-
-        def no_walk(self, members, H):
-            raise AssertionError("conjugation orbits walked")
-
-        monkeypatch.setattr(groups.FiniteGroup, "orbits", no_walk)
+        monkeypatch.setattr(groups.FiniteGroup, "orbits", spy)
         for spec in specs:
-            assert groups.from_group_spec(spec).classes == built[spec].classes
+            split.clear()
+            G = groups.from_group_spec(spec)
+            assert split == [(tuple(G.elements()), G.generators)]
+            assert generated(G, G.generators) == list(G.elements())
+            assert G.classes == orbit_walk_classes(G.table, G.inv)
 
     @pytest.mark.parametrize(
         "spec",
@@ -574,23 +572,28 @@ class TestConjugacyClasses:
     )
     def test_commutativity_shortcut_on_centralizers(self, spec, monkeypatch):
         # a proper subgroup is split through a greedy generating set, of at
-        # most log2 of its order members, with no orbit walk, abelian or not.
-        # The rotations of dihedral:15 and dihedral:16 are abelian and hold
-        # half of G; {e} has no generator
+        # most log2 of its order members, with no walk over the subgroup,
+        # abelian or not.  The rotations of dihedral:15 and dihedral:16 are
+        # abelian and hold half of G; {e} has no generator
         G = groups.from_group_spec(spec)
+        split, orbits = [], groups.FiniteGroup.orbits
 
-        def no_walk(self, members, H):
-            raise AssertionError("conjugation orbits walked")
+        def spy(self, members, gens):
+            split.append((tuple(members), tuple(gens)))
+            return orbits(self, members, gens)
 
-        monkeypatch.setattr(groups.FiniteGroup, "orbits", no_walk)
+        monkeypatch.setattr(groups.FiniteGroup, "orbits", spy)
         subgroups = {G.centralizer(x) for x in G.elements()} | {(G.id,)}
         for members in sorted(subgroups):
             gens = groups._generators(G.table, members, G.id)
             assert 2 ** len(gens) <= len(members)
             assert generated(G, gens) == list(members)
-            classes = G._classes(members)
             reps = {h: min(G.class_in_subgroup(members, h).members) for h in members}
-            assert {h: cl.representative for cl in classes for h in cl.members} == reps
+            split.clear()
+            classes = G.orbits(members, G.generators_of(members))
+            if len(members) < G.order:
+                assert split == [(members, tuple(gens))]
+            assert {h: r for r, orbit in classes.items() for h in orbit} == reps
 
     def test_partition_and_sorting(self):
         for G in sample_groups():
@@ -693,20 +696,21 @@ class TestOrbits:
         G = groups.from_group_spec(spec)
         for x in G.elements():
             H = G.centralizer(x)
-            orbits = G.orbits(G.elements(), H)
-            # the orbits partition G, each keyed by its smallest member
-            assert sorted(c for orbit in orbits.values() for c in orbit) == list(
-                G.elements()
-            )
+            orbits = G.orbits(G.elements(), G.generators_of(H))
+            # the orbits partition G as the walk over H does, each keyed by
+            # its smallest member
+            walked = walk_orbits(G.table, G.inv, G.elements(), H)
+            assert {r: set(o) for r, o in orbits.items()} == {
+                r: set(o) for r, o in walked.items()
+            }
             for r, orbit in orbits.items():
-                assert set(orbit) == {G.conj(h, r) for h in H}
                 assert r == min(orbit)
                 for c, h in orbit.items():
-                    assert h == next(g for g in H if G.conj(g, r) == c)
+                    assert h in H and G.conj(h, r) == c
 
     def test_classes_are_the_orbits_of_g(self):
         for G in sample_groups():
-            orbits = G.orbits(G.elements(), G.elements())
+            orbits = walk_orbits(G.table, G.inv, G.elements(), G.elements())
             assert [c.representative for c in G.classes] == list(orbits)
             assert [set(c.members) for c in G.classes] == [
                 set(orbit) for orbit in orbits.values()
@@ -760,10 +764,10 @@ class TestCenClassReps:
     def test_central_x_takes_the_group_classes(self, spec, monkeypatch):
         G = groups.from_group_spec(spec)
 
-        def no_split(self, members):
+        def no_split(self, members, gens):
             raise AssertionError("classes split")
 
-        monkeypatch.setattr(groups.FiniteGroup, "_classes", no_split)
+        monkeypatch.setattr(groups.FiniteGroup, "orbits", no_split)
         whole = {g: cl.representative for cl in G.classes for g in cl.members}
         for x in G.elements():
             if len(G.classes[G.class_of[x]].members) == 1:
@@ -785,16 +789,31 @@ class TestCenClassReps:
             assert same == (cens[x] == cens[y])
 
 
+def walk_orbits(mul, inv, members, S):
+    """Split the ascending members, closed under conjugation by the members
+    S of a subgroup, into orbits, each found by a walk over all of S: maps
+    the smallest member r of each orbit to a dict sending each member c to
+    the first h in S with h r h^-1 = c.  The reference for the split by
+    generators, FiniteGroup.orbits."""
+    orbits, seen = {}, set()
+    for r in members:
+        if r not in seen:
+            orbit = {}
+            for h in S:
+                orbit.setdefault(mul[mul[h][r]][inv[h]], h)
+            seen.update(orbit)
+            orbits[r] = orbit
+    return orbits
+
+
 def orbit_walk_classes(mul, inv):
     """G's classes, each the set of all conjugates h r h^-1 of its smallest
     member r: the reference for the split by generators."""
-    classes, seen = [], set()
-    for r in range(len(mul)):
-        if r not in seen:
-            members = sorted({mul[mul[h][r]][inv[h]] for h in range(len(mul))})
-            seen.update(members)
-            classes.append(groups.ConjClass(r, tuple(members)))
-    return tuple(classes)
+    G = range(len(mul))
+    return tuple(
+        groups.ConjClass(r, tuple(sorted(orbit)))
+        for r, orbit in walk_orbits(mul, inv, G, G).items()
+    )
 
 
 # Z2 x Z2, and S3 with the identity moved to element 4
@@ -803,9 +822,10 @@ S3_MOVED = _relabelled(groups.symmetric(3), 4)
 
 
 class TestSetUpAgainstReferences:
-    """The inverses, G's classes and the class table of every centralizer,
-    found from generating sets, equal slow references that read the whole
-    table; the names, formatted when read, equal the eager ones."""
+    """The inverses, G's classes, the class table of every centralizer and
+    the orbits of every stabilizer a scan's chain forms, found from
+    generating sets, equal slow references that read the whole table; the
+    names, formatted when read, equal the eager ones."""
 
     @staticmethod
     def check_set_up(G):
@@ -818,6 +838,26 @@ class TestSetUpAgainstReferences:
             cen = G.centralizer(x)
             reps = {h: G.class_in_subgroup(cen, h).representative for h in cen}
             assert G.cen_class_reps(x) == reps
+        # G, every Cen(x), and every Cen(x) ∩ Cen(y), which is Cen_S(y) for
+        # S = Cen(x), split G and each class as the walk over S does
+        cens = {G.centralizer(x) for x in G.elements()}
+        stabilizers = {tuple(G.elements())} | cens | {
+            tuple(h for h in S if mul[h][y] == mul[y][h])
+            for S in cens
+            for y in G.elements()
+        }
+        pools = [G.elements(), *(cl.members for cl in G.classes)]
+        for S, pool in itertools.product(sorted(stabilizers), pools):
+            orbits = G.orbits(pool, G.generators_of(S))
+            walked = walk_orbits(mul, inv, pool, S)
+            assert {r: set(o) for r, o in orbits.items()} == {
+                r: set(o) for r, o in walked.items()
+            }
+            members = set(S)
+            for r, orbit in orbits.items():
+                assert r == min(orbit)
+                for c, h in orbit.items():
+                    assert h in members and mul[mul[h][r]][inv[h]] == c
 
     @settings(max_examples=100, deadline=None)
     @given(
