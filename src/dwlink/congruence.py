@@ -33,7 +33,7 @@ from .errors import (
 from .groups import FiniteGroup, from_group_spec
 # enumerate_homs is not called here; it stays bound because the benchmark's
 # tests check that its tracer wraps this binding (perfbench/test_perfbench.py)
-from .holonomy import checked_x_pool, enumerate_homs, periodic_scan  # noqa: F401
+from .holonomy import _x_pool, enumerate_homs, periodic_scan  # noqa: F401
 
 
 # beta a BraidWord, group a FiniteGroup
@@ -134,11 +134,8 @@ def verify(
     r = pow(p, -k, G.order)
     comp = components(beta)
     report = CongruenceReport(instance, comp.count)
-    pool = checked_x_pool(G, comp, x_scope)
-    tables = [G.cen_class_reps(xt) for xt in pool]
-    # one count per distinct table; all are held, so their ids differ
-    classes = {i: len(set(t.values())) for i, t in {id(t): t for t in tables}.items()}
-    report.cases_checked = sum(classes[id(t)] for t in tables) ** comp.count
+    pool = _x_pool(G, x_scope)
+    # the scan's charge is checked before the pool's class tables are built
     for x, lhs, rhs in class_counts(instance, [pool] * comp.count):
         reps = [G.cen_class_reps(xt) for xt in x]
         lhs = {
@@ -152,6 +149,10 @@ def verify(
                     Violation(x, h, lhs_count, rhs_count)
                 )
     report.violations.sort(key=lambda v: (v.x, v.hclass))
+    tables = [G.cen_class_reps(xt) for xt in pool]
+    # one count per distinct table; all are held, so their ids differ
+    classes = {i: len(set(t.values())) for i, t in {id(t): t for t in tables}.items()}
+    report.cases_checked = sum(classes[id(t)] for t in tables) ** comp.count
     return report
 
 

@@ -9,13 +9,12 @@ stored.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from .braids import BraidWord, components
 from .errors import HNotInCentralizer, LengthMismatch, NotInSubgroup
 from .groups import FiniteGroup
-from .holonomy import checked_x_pool, enumerate_homs
+from .holonomy import _x_pool, enumerate_homs, homs_by_meridians
 
 
 def _check_lengths(n, x, h):
@@ -107,11 +106,11 @@ def dw_table(
     beta: BraidWord, G: FiniteGroup, x_scope: str = "representatives"
 ) -> DWTable:
     """Full table: every x in scope, aggregated exactly and by centralizer
-    class.  One enumeration pass per x, after checked_x_pool."""
+    class, from one scan of the whole sweep (holonomy.homs_by_meridians)."""
     comp = components(beta)
     table = DWTable(beta, G, comp.count, x_scope)
-    for x in itertools.product(checked_x_pool(G, comp, x_scope), repeat=comp.count):
-        recs = enumerate_homs(beta, G, x_constraint=x)
+    pools = [_x_pool(G, x_scope)] * comp.count
+    for x, recs in homs_by_meridians(beta, G, pools):
         table.exact.update(Counter((x, r.longitude) for r in recs))
         for reps, count in class_buckets(G, x, recs).items():
             table.by_class[(x, reps)] = count

@@ -166,6 +166,12 @@ class TestHoms:
     def test_search_cap_exit(self, capsys):
         assert main(["homs", "--braid", "12:", "--group", "quaternion:8"]) == 3
 
+    def test_cap_counts_the_walk_not_the_product(self, capsys):
+        # |S6|^4 = 2.7e11 candidate tuples, 1,369,553 walked along the chain
+        argv = ["homs", "--braid", "4: 1 2 3", "--group", "symmetric:6", "--count"]
+        code, out = run(capsys, *argv)
+        assert (code, json.loads(out)) == (0, {"count": 720})
+
     @pytest.mark.parametrize("names", [("-i", "-j"), ("-i", "-i")])
     def test_dash_led_x_on_a_link(self, capsys, names):
         # each --x=NAME adds a name, so Q8's -i and -j reach both components
@@ -391,21 +397,29 @@ class TestRefusedBeforeWork:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # 200000 components: no n x n table of crossings
+            # 200000 components: no n x n table of crossings; 2^200000
+            # letterless walks, and for dw 500 letter-steps more per meridian
+            # tuple
             (["homs", "--braid", "200000:", "--group", "cyclic:2", "--count"],
-             "search space of at least 2^200000 candidates exceeds cap 1000000000"),
+             "search of at least 2^200000 letter-steps exceeds cap 1000000000"),
             (["dw", "--braid", "200000:", "--group", "cyclic:2"],
-             "sweep of at least 2^200000 meridian tuples exceeds cap 1000000000"),
-            # 2^30 meridian tuples, each with a search space of 1
+             "search of at least 2^200008 letter-steps exceeds cap 1000000000"),
+            # 2^30 meridian tuples, each of one letterless walk of one pass
+            # (an abelian group's orbits are points) and 500 more per tuple
             (["verify", "--braid", "30:", "--group", "cyclic:2", "-p", "3", "-k", "1"],
-             "sweep of 1073741824 meridian tuples exceeds cap 1000000000"),
-            # 120^2100 has more decimal digits than Python prints
+             "search of 537944653824 letter-steps exceeds cap 1000000000"),
+            # at least 120^2100 / 120 walks, which has more decimal digits
+            # than Python prints, bounded before the chain is entered
             (["homs", "--braid", "2100:", "--group", "symmetric:5", "--count"],
-             "search space of at least 2^14504 candidates exceeds cap 1000000000"),
+             "search of at least 2^14497 letter-steps exceeds cap 1000000000"),
             # the trivial group of degree 10^7, refused before its identity
             # permutation is built
             (["group-info", "--group", "perm:10000000:"],
              "permutation degree 10000000 exceeds cap of 10000"),
+            # 2,761,105,516 walks of 6 letter-steps, about half an hour of
+            # walking: the count stops once it passes the cap
+            (["dw", "--braid", "8: 1 2 3 5 6 7", "--group", "symmetric:5"],
+             "search of at least 2903476538 letter-steps exceeds cap 1000000000"),
         ],
     )
     def test_exit3(self, argv, message):

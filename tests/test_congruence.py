@@ -70,16 +70,22 @@ class TestVerify:
         assert report.ok and report.cases_checked > 0
 
     def test_search_cap_checked_before_any_scan(self, monkeypatch):
-        # the identity's search space passes; a later x's does not
-        def no_scan(*args):
-            raise AssertionError("an x was scanned before every cap check")
+        # the whole sweep is counted and refused before any tuple is walked
+        # or any class table built
+        def no_work(*args):
+            raise AssertionError("work done before the cap check")
 
-        monkeypatch.setattr(congruence, "periodic_scan", no_scan)
-        with pytest.raises(SearchTooLarge, match="of 21870000000 candidates"):
-            congruence.verify(make("8: 1 2 3 4 5 6 7", 7, 1, "symmetric:5"))
-        monkeypatch.setattr(dw, "enumerate_homs", no_scan)
-        with pytest.raises(SearchTooLarge, match="of 21870000000 candidates"):
-            dw.dw_table(braids.parse_braid("8: 1 2 3 4 5 6 7"), groups.symmetric(5))
+        monkeypatch.setattr(holonomy, "_walk", no_work)
+        monkeypatch.setattr(groups.FiniteGroup, "cen_class_reps", no_work)
+        message = r"^search of at least \d+ letter-steps exceeds cap 1000000000$"
+        instance = make("8: 1 2 3 4 5 6 7", 7, 1, "symmetric:5")
+        monkeypatch.setitem(instance.beta.__dict__, "orbit", no_work)
+        with pytest.raises(SearchTooLarge, match=message):
+            congruence.verify(instance)
+        b = braids.parse_braid("8: 1 2 3 4 5 6 7")
+        monkeypatch.setitem(b.__dict__, "orbit", no_work)
+        with pytest.raises(SearchTooLarge, match=message):
+            dw.dw_table(b, groups.symmetric(5))
 
     def test_trefoil_vs_unknot_z2(self):
         report = congruence.verify(make("2: 1", 3, 1, "cyclic:2"))

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,13 +158,28 @@ CAP_GROUPS = [
 ]
 
 
-def per_tuple_check(G, comp, scope):
-    """The sweep check as a loop over every meridian tuple: the reference
-    for checked_x_pool."""
-    pool = holonomy._x_pool(G, scope)
-    holonomy.check_size(len(pool) ** comp.count, "sweep of {} meridian tuples")
-    for x in x_tuples(G, comp.count, scope):
-        holonomy.candidate_sets(G, comp, x)
+def sweep_braid(data, G, scope):
+    """A braid drawn with at most 600 meridian tuples in its sweep over G."""
+    size = len(holonomy._x_pool(G, scope))
+    top = 4
+    while top > 1 and size**top > 600:
+        top -= 1
+    m = data.draw(st.integers(1, top))
+    letters = []
+    if m > 1:
+        alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+        letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=8))
+    return braids.BraidWord(m, tuple(letters))
+
+
+def per_tuple_walks(beta, G, scope):
+    """The tuples a sweep walks, as a sum of one chain per meridian tuple:
+    the reference for the sweep's one chain."""
+    n = beta.components.count
+    return sum(
+        holonomy._Chain(beta, G, [(xt,) for xt in x]).walks(math.inf)[0]
+        for x in x_tuples(G, n, scope)
+    )
 
 
 def refuses(check, *args):
@@ -173,28 +190,56 @@ def refuses(check, *args):
     return False
 
 
-class TestCheckedXTuples:
-    def test_largest_tuple_decides(self, monkeypatch):
+class TestSweepCharge:
+    def test_one_chain_walks_what_the_tuples_walk(self, monkeypatch):
         @settings(max_examples=150, deadline=None)
         @given(data=st.data())
-        def same_refusals(data):
+        def same_charge(data):
             G = data.draw(st.sampled_from(CAP_GROUPS))
             scope = data.draw(st.sampled_from(["representatives", "all"]))
-            m = data.draw(st.integers(1, 6))
-            letters = []
-            if m > 1:
-                alphabet = [s * i for i in range(1, m) for s in (1, -1)]
-                letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=8))
-            comp = braids.components(braids.BraidWord(m, tuple(letters)))
-            # the largest per-tuple search space: its factors are independent
-            top = max(len(c.members) for c in G.classes)
-            largest = 1
-            for cyc in comp.cycles:
-                largest *= top ** (len(cyc) - 1)
-            for cap in (largest, largest - 1):
+            b = sweep_braid(data, G, scope)
+            pool = holonomy._x_pool(G, scope)
+            n = b.components.count
+            walked, exact = holonomy._Chain(b, G, [pool] * n).walks(math.inf)
+            assert exact and walked == per_tuple_walks(b, G, scope)
+            charge = walked * max(1, len(b.letters)) + holonomy._TUPLE_CHARGE * len(pool) ** n
+            for cap in (charge, charge - 1):
                 monkeypatch.setattr(holonomy, "SEARCH_CAP", cap)
-                assert refuses(holonomy.checked_x_pool, G, comp, scope) == refuses(
-                    per_tuple_check, G, comp, scope
-                )
+                assert refuses(dw.dw_table, b, G, scope) == (cap < charge)
 
-        same_refusals()
+        same_charge()
+
+
+def per_x_table(beta, G, scope):
+    """dw_table's exact and class tables from one enumerate_homs call per
+    meridian tuple: the reference for its one scan of the sweep."""
+    exact, by_class = {}, {}
+    for x in x_tuples(G, beta.components.count, scope):
+        recs = holonomy.enumerate_homs(beta, G, x_constraint=x)
+        exact.update(Counter((x, r.longitude) for r in recs))
+        for reps, count in dw.class_buckets(G, x, recs).items():
+            by_class[(x, reps)] = count
+    return exact, by_class
+
+
+class TestOneScanTable:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_x_enumeration(self, data):
+        G = data.draw(st.sampled_from(CAP_GROUPS))
+        scope = data.draw(st.sampled_from(["representatives", "all"]))
+        b = sweep_braid(data, G, scope)
+        table = dw.dw_table(b, G, scope)
+        assert (table.exact, table.by_class) == per_x_table(b, G, scope)
+
+    @pytest.mark.parametrize(
+        "braid, gspec, scope",
+        [("3: 1 1 -2", "symmetric:6", "representatives"),
+         ("3: 1 1 1 2 2", "symmetric:4", "all"),
+         ("2: 1 1 1", "quaternion:8", "all"),
+         ("4: 1 -3 2", "dihedral:5", "all")],
+    )
+    def test_named_instances(self, braid, gspec, scope):
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
+        table = dw.dw_table(b, G, scope)
+        assert (table.exact, table.by_class) == per_x_table(b, G, scope)

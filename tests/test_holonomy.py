@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -173,12 +174,26 @@ def relabelled(G, perm):
     return groups.from_cayley_table(table, name=f"relabelled {G.name}")
 
 
+def candidates(G, comp, x=None):
+    """The unreduced candidate sets, one per position: all of G, or with
+    the meridians x prescribed, x_t at component t's basepoint and x_t's
+    class at its other positions.  Their product is the reference that
+    the chain is tested against."""
+    cands = [G.elements()] * sum(map(len, comp.cycles))
+    if x is not None:
+        for t, cyc in enumerate(comp.cycles):
+            cls = G.classes[G.class_of[x[t]]].members
+            for p in cyc:
+                cands[p] = (x[t],) if p == comp.basepoints[t] else cls
+    return cands
+
+
 def unreduced_homs(beta, G, x=None):
     """Every tuple of the unreduced candidate sets that the braid fixes,
     with its records: the scan without the conjugation reduction."""
     comp = braids.components(beta)
     recs = []
-    for a in itertools.product(*holonomy.candidate_sets(G, comp, x)):
+    for a in itertools.product(*candidates(G, comp, x)):
         if holonomy.artin_action(beta, a, G) == a:
             longitude = tuple(
                 holonomy.longitude_image(beta, a, t, G, check=False)
@@ -189,16 +204,16 @@ def unreduced_homs(beta, G, x=None):
     return recs
 
 
-def one_level_scan(beta, G, pools, limit):
+def one_level_scan(beta, G, pools, limit, allow_large=False):
     """holonomy._scan with its stabilizer chain cut after the first level,
     one meridian tuple x of the product of pools at a time (all of them at
     once for None): position p0 runs over one representative per H-orbit,
     every other position over all its candidates, and the one transversal
-    is p0's.  The reference that the chain is tested against; like
-    _scan, it leaves the cap to its callers."""
+    is p0's.  The reference that the chain is tested against; it checks no
+    cap."""
     comp = braids.components(beta)
     for x in [None] if pools is None else itertools.product(*pools):
-        cands = holonomy.candidate_sets(G, comp, x, allow_large=True)
+        cands = candidates(G, comp, x)
         if x is None:
             H = G.elements()
         else:
@@ -216,19 +231,19 @@ def one_level_scan(beta, G, pools, limit):
                     break
 
 
-def position_order_scan(beta, G, pools, limit):
+def position_order_scan(beta, G, pools, limit, allow_large=False):
     """The stabilizer chain over the positions in their order, one meridian
     tuple x of the product of pools at a time (all of them at once for
     None), from H, the elements commuting with every x_t: the scan that
     placed no meridian as a level of its chain, one call per x.  With no
     meridian prescribed, a position after the first of its cycle runs over
     the class of that first entry.  The reference for _scan's per-x counts
-    and walk counts; like _scan, it leaves the cap to its callers."""
+    and walk counts; it checks no cap."""
     comp = beta.components
     mul, inv, orbit = G.table, G.inv, beta.orbit
     central = {cl.representative for cl in G.classes if len(cl.members) == 1}
     for x in [None] if pools is None else itertools.product(*pools):
-        cands = holonomy.candidate_sets(G, comp, x, allow_large=True)
+        cands = candidates(G, comp, x)
         m = len(cands)
         if x is None:
             H = G.elements()
@@ -303,18 +318,34 @@ def levels(beta, G, x=None):
     return set()
 
 
-def walks(beta, run):
-    """run()'s result and the number of tuples it walks through beta's
-    orbit walker, counted with no call's arguments kept."""
-    orbit, calls = beta.orbit, 0
+class _PastStop(Exception):
+    pass
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return orbit(*args)
 
-    with mock.patch.dict(beta.__dict__, orbit=counted):
-        return run(), calls
+def walks(beta, run, stop=math.inf):
+    """run()'s result and the number of tuples it walks, through beta's
+    compiled orbit walker or through _walk, counted with no call's
+    arguments kept; or None and stop + 1 once it walks more than stop."""
+    orbit, walk, calls = beta.orbit, holonomy._walk, 0
+
+    def counted(walker):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            if calls > stop:
+                raise _PastStop
+            return walker(*args)
+
+        return call
+
+    with (
+        mock.patch.dict(beta.__dict__, orbit=counted(orbit)),
+        mock.patch.object(holonomy, "_walk", counted(walk)),
+    ):
+        try:
+            return run(), calls
+        except _PastStop:
+            return None, calls
 
 
 def scanned(beta, run):
@@ -348,7 +379,7 @@ class TestOrbitReduction:
                     continue
                 x = tuple(rng.choice(pool_x) for _ in range(n))
                 H = set.intersection(*(set(G.centralizer(xt)) for xt in x))
-                cands = holonomy.candidate_sets(G, comp, x)
+                cands = candidates(G, comp, x)
                 p0 = next((p for p, c in enumerate(cands) if len(c) > 1), 0)
                 if len(H) == G.order:
                     covered.add("H = G")
@@ -433,7 +464,10 @@ class TestOrbitReduction:
         with mock.patch.object(G, "orbits", wraps=G.orbits) as orbits:
             recs = holonomy.enumerate_homs(b, G)
         splits = [(tuple(pool), gens) for (pool, gens), _ in orbits.call_args_list]
-        assert len(set(splits)) == len(splits) > 0
+        # no pool is split under a central stabilizer, so none over an
+        # abelian group
+        abelian = all(len(c.members) == 1 for c in G.classes)
+        assert len(set(splits)) == len(splits) and bool(splits) != abelian
         assert recs == unreduced_homs(b, G)
 
     @pytest.mark.parametrize(
@@ -549,10 +583,14 @@ class TestCountFromWeights:
             holonomy.count_fixed_tuples(braids.parse_braid("12:"), G)
         with pytest.raises(LengthMismatch):
             holonomy.count_fixed_tuples(braids.parse_braid("2:"), G, (G.id,))
-        with mock.patch.object(holonomy, "SEARCH_CAP", 8**3 - 1):
-            b = braids.parse_braid("3:")
-            with pytest.raises(SearchTooLarge):
-                holonomy.count_fixed_tuples(b, G)
+        b = braids.parse_braid("3:")
+        # a letterless walk is charged one letter-step
+        count, walked = walks(b, lambda: holonomy.count_fixed_tuples(b, G))
+        assert count == 8**3
+        with mock.patch.object(holonomy, "SEARCH_CAP", walked - 1):
+            for run in (holonomy.count_fixed_tuples, holonomy.enumerate_homs):
+                with pytest.raises(SearchTooLarge, match=f"^search of {walked} "):
+                    run(b, G)
             assert holonomy.count_fixed_tuples(b, G, allow_large=True) == 8**3
 
 
@@ -734,10 +772,25 @@ class TestOrbitWalker:
 
         monkeypatch.setattr(holonomy, "_compile_orbit", compile_orbit)
         b = braids.parse_braid("3: 1 -2 1 -2")
-        G = groups.symmetric(3)
+        # 546 tuples walked: enough passes to compile
+        G = groups.symmetric(5)
         assert holonomy.count_fixed_tuples(b, G) == len(holonomy.enumerate_homs(b, G))
-        assert sum(w for _, w, _, _ in holonomy.periodic_scan(b, G, [(1,)], 5, 2)) > 0
+        assert sum(w for _, w, _, _ in holonomy.periodic_scan(b, G, [(1,)], 7, 2)) > 0
         assert built == [b.steps]
+
+    def test_compiled_when_the_counted_passes_pay(self, monkeypatch):
+        G = groups.symmetric(3)
+        word = "3: 1 -2 1 -2"
+        b = braids.parse_braid(word)
+        count, walked = walks(b, lambda: holonomy.count_fixed_tuples(b, G))
+        for limit in (1, 3):
+            for passes, compiled in ((walked * limit, True), (walked * limit + 1, False)):
+                monkeypatch.setattr(holonomy, "_COMPILE_PASSES", passes)
+                b = braids.parse_braid(word)
+                hits = list(holonomy._scan(b, G, None, limit))
+                # the walker is built on first read of beta.orbit
+                assert ("orbit" in b.__dict__) == compiled
+                assert sum(math.prod(map(len, t)) for *_, L, t in hits if L == 1) == count
 
     def test_cap_boundary(self, monkeypatch):
         def forbidden(steps, strands):
@@ -777,8 +830,87 @@ class TestOrbitWalker:
         assert interpreted[0] > 0 and sum(interpreted[1].values()) > 0
 
 
+# groups of order at most 60, abelian and not, with classes of every size
+COUNT_GROUPS = [
+    groups.cyclic(1),
+    groups.cyclic(6),
+    groups.quaternion8(),
+    s3,
+    groups.dihedral(5),
+    groups.symmetric(4),
+    groups.from_group_spec("perm:5:(1 2 3);(3 4 5)"),
+    groups.dihedral(30),
+]
+
+
+class TestCountedWalks:
+    """_Chain.walks counts the tuples _scan walks without walking them."""
+
+    def test_counted_tuples_are_the_walks_made(self):
+        seen = set()
+        stop = 1000
+
+        @settings(max_examples=200, deadline=None)
+        @given(data=st.data())
+        def counted_is_walked(data):
+            G = data.draw(st.sampled_from(COUNT_GROUPS))
+            m = data.draw(st.integers(1, 5))
+            alphabet = [s * i for i in range(1, m) for s in (1, -1)]
+            letters = ()
+            if alphabet:
+                letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=6))
+            b = braids.BraidWord(m, tuple(letters))
+            n = b.components.count
+            kind = data.draw(st.sampled_from(["none", "one-member", "representatives", "all"]))
+            pools = None
+            if kind == "one-member":
+                pools = [(data.draw(st.sampled_from(G.elements())),) for _ in range(n)]
+            elif kind != "none":
+                pools = [holonomy._x_pool(G, kind)] * n
+            counted, exact = holonomy._Chain(b, G, pools).walks(stop)
+            scan = lambda: collections.deque(holonomy._scan(b, G, pools, 1, True), 0)
+            _, walked = walks(b, scan, stop)
+            if counted <= stop:
+                assert exact and walked == counted
+                # the first figure over 0, the bound before the chain or the
+                # first prefix's count, is a lower bound
+                assert 0 < holonomy._Chain(b, G, pools).walks(0)[0] <= counted
+            else:
+                assert walked > stop
+            seen.add((kind, counted <= stop))
+
+        counted_is_walked()
+        kinds = ("none", "one-member", "representatives", "all")
+        assert seen >= {(kind, True) for kind in kinds} | {("none", False), ("all", False)}
+
+    @pytest.mark.parametrize(
+        "braid, gspec, walked",
+        [
+            ("3: 1 -2 1 -2", "symmetric:5", 546),
+            ("4: 1 2 3 1 -2 3", "symmetric:5", 56657),
+            ("3:", "symmetric:5", 14721),
+            ("4: 1 2 3", "symmetric:6", 1369553),
+            ("8: 1 2 3 5 6 7", "symmetric:5", 19314258789),
+        ],
+    )
+    def test_named_counts(self, braid, gspec, walked):
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
+        assert holonomy._Chain(b, G, None).walks(math.inf) == (walked, True)
+
+    def test_far_over_the_cap_ends_before_the_chain(self, monkeypatch):
+        # 120^2100 / 120 tuples at least, and no prefix formed
+        def no_chain(self):
+            raise AssertionError("a prefix formed")
+
+        monkeypatch.setattr(holonomy._Chain, "prefixes", no_chain)
+        b, G = braids.parse_braid("2100:"), groups.symmetric(5)
+        assert holonomy._Chain(b, G, None).walks(10**9) == (120**2099, False)
+
+
 class TestSearchSpace:
-    def test_size_is_the_candidate_product(self, monkeypatch):
+    def test_cap_boundary_is_the_charge(self, monkeypatch):
+        # max(1, letters) letter-steps per tuple walked, and _TUPLE_CHARGE
+        # more per prescribed meridian tuple
         rng = random.Random(20)
         G = groups.symmetric(4)
         for _ in range(30):
@@ -786,16 +918,48 @@ class TestSearchSpace:
             comp = braids.components(b)
             x = tuple(rng.randrange(G.order) for _ in range(comp.count))
             for xc in (None, x):
-                size = 1
+                count, walked = walks(
+                    b, lambda: holonomy.count_fixed_tuples(b, G, xc, allow_large=True)
+                )
+                charge = walked * max(1, len(b.letters))
+                charge += 0 if xc is None else holonomy._TUPLE_CHARGE
                 # the cap is lowered below on every pass of the loop
-                for c in holonomy.candidate_sets(G, comp, xc, allow_large=True):
-                    size *= len(c)
-                monkeypatch.setattr(holonomy, "SEARCH_CAP", size)
-                holonomy.candidate_sets(G, comp, xc)
-                monkeypatch.setattr(holonomy, "SEARCH_CAP", size - 1)
-                with pytest.raises(SearchTooLarge):
-                    holonomy.candidate_sets(G, comp, xc)
-                holonomy.candidate_sets(G, comp, xc, allow_large=True)
+                monkeypatch.setattr(holonomy, "SEARCH_CAP", charge)
+                assert holonomy.count_fixed_tuples(b, G, xc) == count
+                monkeypatch.setattr(holonomy, "SEARCH_CAP", charge - 1)
+                message = f"^search of {charge} letter-steps exceeds cap {charge - 1}$"
+                for run in (holonomy.count_fixed_tuples, holonomy.enumerate_homs):
+                    with pytest.raises(SearchTooLarge, match=message):
+                        run(b, G, xc)
+                assert holonomy.count_fixed_tuples(b, G, xc, allow_large=True) == count
+
+    @pytest.mark.parametrize(
+        "braid, gspec, p, k",
+        [("3: 1 1 -2", "symmetric:4", 5, 1), ("3: 1 2", "dihedral:5", 7, 2),
+         ("2: 1 1", "quaternion:8", 3, 3), ("3: 1 2", "symmetric:5", 7, 8)],
+    )
+    def test_sweep_cap_boundary_is_the_charge(self, monkeypatch, braid, gspec, p, k):
+        # verify walks each tuple p^k times at most, or as often as the
+        # product of m largest classes has members where that is fewer (Q8:
+        # 2^2 < 3^3; S5: 24^3 < 7^8, which alone would refuse), dw once;
+        # both sweep |pool|^n meridian tuples
+        b, G = braids.parse_braid(braid), groups.from_group_spec(gspec)
+        n = b.components.count
+        tuples = len(holonomy._x_pool(G, "representatives")) ** n
+        top = max(len(c.members) for c in G.classes)
+        instance = congruence.check_preconditions(b, p, k, G)
+        for run, passes in (
+            (lambda: congruence.verify(instance), min(p**k, top**b.strands)),
+            (lambda: dw.dw_table(b, G), 1),
+        ):
+            expect, walked = walks(b, run)
+            charge = walked * len(b.letters) * passes + holonomy._TUPLE_CHARGE * tuples
+            monkeypatch.setattr(holonomy, "SEARCH_CAP", charge)
+            got = run()
+            assert got.to_json_obj() == expect.to_json_obj()
+            monkeypatch.setattr(holonomy, "SEARCH_CAP", charge - 1)
+            with pytest.raises(SearchTooLarge, match=f"^search of {charge} letter-steps"):
+                run()
 
     def test_prescribed_x_builds_no_class_table(self, monkeypatch):
         # H is scanned from the table, not read off Cen(x)'s class table
